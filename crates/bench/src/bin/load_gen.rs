@@ -4,16 +4,16 @@
 //! Two modes run back-to-back over the *same* request stream, worker count,
 //! and sharded store so the only difference is request coalescing:
 //!
-//! * **single** — `max_batch = 1`: every request takes the classic
-//!   one-graph-per-prediction path;
+//! * **single** — `max_batch = 1`: every request is a forward pass of one
+//!   row;
 //! * **batched** — `max_batch = PP_MAX_BATCH`: workers drain the arrival
-//!   queue into batched forward passes (one matmul per batch).
+//!   queue into batched forward passes (one pass per batch, same kernel).
 //!
 //! Environment knobs (defaults in parentheses): `PP_USERS` (400), `PP_DAYS`
 //! (30), `PP_HIDDEN` (64), `PP_SEED` (17), `PP_CONCURRENCY` (64),
 //! `PP_MAX_BATCH` (64), `PP_SHARDS` (16), `PP_WORKERS` (#cores, capped at
 //! 8), `PP_REQUESTS` (60000), `PP_OUT` (`BENCH_serving.json`),
-//! `PP_REQUIRE_SPEEDUP` (unset → report only; set e.g. `3.0` to exit
+//! `PP_REQUIRE_SPEEDUP` (unset → report only; set e.g. `1.2` to exit
 //! non-zero when the batched/single throughput ratio falls short).
 //!
 //! Core-scaling knobs: `PP_WORKER_SWEEP` (`1,2,4` — batched-mode worker

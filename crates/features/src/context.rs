@@ -66,12 +66,23 @@ impl ContextFeaturizer {
     ///
     /// Panics if the context kind does not match the featurizer's dataset.
     pub fn featurize_into(&self, timestamp: i64, context: &Context, out: &mut Vec<f32>) {
+        out.clear();
+        self.append_to(timestamp, context, out);
+    }
+
+    /// Appends the session's context features to `out`, keeping what it
+    /// already holds (for assembling a batch row by row in one buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context kind does not match the featurizer's dataset.
+    pub fn append_to(&self, timestamp: i64, context: &Context, out: &mut Vec<f32>) {
         assert_eq!(
             context.kind(),
             self.kind,
             "context kind does not match featurizer dataset"
         );
-        out.clear();
+        let start = out.len();
         push_one_hot(out, hour_of_day(timestamp) as usize, HOURS);
         push_one_hot(out, day_of_week(timestamp) as usize, DAYS);
         match *context {
@@ -97,7 +108,7 @@ impl ContextFeaturizer {
                 out.push(if app_id == last_app_id { 1.0 } else { 0.0 });
             }
         }
-        debug_assert_eq!(out.len(), self.dims());
+        debug_assert_eq!(out.len() - start, self.dims());
     }
 }
 

@@ -59,9 +59,20 @@ impl RnnFeaturizer {
     /// `t_i − t_k = 0` when `k = 0`).
     pub fn features(&self, timestamp: i64, context: &Context, elapsed_secs: i64) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.feature_dims());
-        self.context.featurize_into(timestamp, context, &mut out);
-        push_one_hot(&mut out, time_bucket(elapsed_secs), TIME_BUCKETS);
+        self.append_features(timestamp, context, elapsed_secs, &mut out);
         out
+    }
+
+    /// Appends [`RnnFeaturizer::features`] to `out`.
+    pub fn append_features(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        elapsed_secs: i64,
+        out: &mut Vec<f32>,
+    ) {
+        self.context.append_to(timestamp, context, out);
+        push_one_hot(out, time_bucket(elapsed_secs), TIME_BUCKETS);
     }
 
     /// Builds the full GRU update input `[f_i ; T(Δt_i) ; A_i]`.
@@ -72,9 +83,23 @@ impl RnnFeaturizer {
         delta_t_secs: i64,
         accessed: bool,
     ) -> Vec<f32> {
-        let mut v = self.features(timestamp, context, delta_t_secs);
-        v.push(if accessed { 1.0 } else { 0.0 });
+        let mut v = Vec::with_capacity(self.update_input_dims());
+        self.append_update_input(timestamp, context, delta_t_secs, accessed, &mut v);
         v
+    }
+
+    /// Appends [`RnnFeaturizer::update_input`] to `out`, so a batch of
+    /// inputs can be assembled in one contiguous buffer.
+    pub fn append_update_input(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        delta_t_secs: i64,
+        accessed: bool,
+        out: &mut Vec<f32>,
+    ) {
+        self.append_features(timestamp, context, delta_t_secs, out);
+        out.push(if accessed { 1.0 } else { 0.0 });
     }
 
     /// Builds the prediction input `[f_i ; T(t_i − t_k)]`.
@@ -85,6 +110,17 @@ impl RnnFeaturizer {
         secs_since_hidden: i64,
     ) -> Vec<f32> {
         self.features(timestamp, context, secs_since_hidden)
+    }
+
+    /// Appends [`RnnFeaturizer::predict_input`] to `out`.
+    pub fn append_predict_input(
+        &self,
+        timestamp: i64,
+        context: &Context,
+        secs_since_hidden: i64,
+        out: &mut Vec<f32>,
+    ) {
+        self.append_features(timestamp, context, secs_since_hidden, out);
     }
 
     /// Builds the timeshifted prediction input `[T(start_d − t_k)]`.
@@ -125,6 +161,18 @@ mod tests {
             f.timeshift_predict_input(3_600).len(),
             f.timeshift_predict_dims()
         );
+    }
+
+    #[test]
+    fn append_variants_extend_a_batch_buffer() {
+        let f = RnnFeaturizer::new(DatasetKind::MobileTab);
+        let mut batch = vec![7.0];
+        f.append_update_input(0, &ctx(), 60, true, &mut batch);
+        f.append_predict_input(3_600, &ctx(), 120, &mut batch);
+        let mut expected = vec![7.0];
+        expected.extend(f.update_input(0, &ctx(), 60, true));
+        expected.extend(f.predict_input(3_600, &ctx(), 120));
+        assert_eq!(batch, expected);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! their own graph over the same parameters.
 
 use crate::graph::{Graph, NodeId};
+use crate::gru_kernel::{gru_step, GruWeights};
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -79,9 +80,9 @@ impl Linear {
 
     /// Inference-only forward pass `x · W + b`: no tape, no gradient
     /// buffers, and — unlike [`Linear::forward`] — no copy of the weight
-    /// matrix into a graph node. This is the layer the batched serving path
-    /// runs on; it computes the same operations in the same order as the
-    /// graph version, so results are identical.
+    /// matrix into a graph node. Every inference path runs on this layer,
+    /// whatever its batch size; it computes the same operations in the
+    /// same order as the graph version, so results are identical.
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         x.matmul(store.get(self.weight))
             .add_row_broadcast(store.get(self.bias))
@@ -248,28 +249,30 @@ impl GruCell {
     }
 
     /// Inference-only recurrent step: identical math to [`GruCell::forward`]
-    /// (same operations, same order) without building a tape or copying the
-    /// weight matrices. Batch rows are independent, so this serves `B` users
-    /// with one matmul per gate.
+    /// without building a tape or copying the weight matrices. Batch rows
+    /// are independent, so this serves `B` users in one fused pass (see
+    /// the `gru_kernel` module) whose results are bit-identical to the
+    /// tape's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `B × input_dim` or `h` is not `B × hidden_dim`.
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
-        let gate_pre = |wi: ParamId, bi: ParamId, wh: ParamId, bh: ParamId| -> Tensor {
-            let xi = x.matmul(store.get(wi)).add_row_broadcast(store.get(bi));
-            let hh = h.matmul(store.get(wh)).add_row_broadcast(store.get(bh));
-            xi.add(&hh)
+        assert_eq!(x.cols(), self.input_dim, "GRU input width mismatch");
+        assert_eq!(h.cols(), self.hidden_dim, "GRU state width mismatch");
+        assert_eq!(x.rows(), h.rows(), "GRU input and state rows differ");
+        let get = |id: ParamId| store.get(id).as_slice();
+        let weights = GruWeights {
+            w_i: [get(self.w_ir), get(self.w_iz), get(self.w_in)],
+            b_i: [get(self.b_ir), get(self.b_iz), get(self.b_in)],
+            w_h: [get(self.w_hr), get(self.w_hz), get(self.w_hn)],
+            b_h: [get(self.b_hr), get(self.b_hz), get(self.b_hn)],
+            input_dim: self.input_dim,
+            hidden: self.hidden_dim,
         };
-        let r =
-            gate_pre(self.w_ir, self.b_ir, self.w_hr, self.b_hr).map(crate::graph::stable_sigmoid);
-        let z =
-            gate_pre(self.w_iz, self.b_iz, self.w_hz, self.b_hz).map(crate::graph::stable_sigmoid);
-        let xn = x
-            .matmul(store.get(self.w_in))
-            .add_row_broadcast(store.get(self.b_in));
-        let hn = h
-            .matmul(store.get(self.w_hn))
-            .add_row_broadcast(store.get(self.b_hn));
-        let n = xn.add(&r.mul(&hn)).map(f32::tanh);
-        let one_minus_z = z.map(|v| 1.0 - v);
-        one_minus_z.mul(&n).add(&z.mul(h))
+        let mut out = Tensor::zeros(h.rows(), self.hidden_dim);
+        gru_step(&weights, x.as_slice(), h.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// Number of scalar parameters.
@@ -348,7 +351,9 @@ impl TanhCell {
         graph.tanh(pre)
     }
 
-    /// Inference-only recurrent step (see [`GruCell::forward_infer`]).
+    /// Inference-only recurrent step: the same matmuls and element-wise
+    /// operations as [`TanhCell::forward`], in the same order, without a
+    /// tape.
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
         let xw = x.matmul(store.get(self.w_ih));
         let hw = h.matmul(store.get(self.w_hh));
@@ -493,7 +498,8 @@ impl LstmCell {
         graph.concat_cols(h_next, c_next)
     }
 
-    /// Inference-only step (see [`GruCell::forward_infer`]); `state` is the
+    /// Inference-only step: the same operations as [`LstmCell::forward`],
+    /// in the same order, without a tape; `state` is the
     /// same `[h ; c]` layout as [`LstmCell::forward`].
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor, state: &Tensor) -> Tensor {
         let h = state.slice_cols(0, self.hidden_dim);
@@ -683,6 +689,85 @@ mod tests {
             nonzero >= 12,
             "expected most params to get gradient, got {nonzero}"
         );
+    }
+
+    /// The six-matmul GRU step the fused kernel replaced, kept as its
+    /// reference: one matmul per gate and side, then element-wise ops.
+    fn gru_six_matmuls(cell: &GruCell, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
+        let gate_pre = |wi: ParamId, bi: ParamId, wh: ParamId, bh: ParamId| -> Tensor {
+            let xi = x.matmul(store.get(wi)).add_row_broadcast(store.get(bi));
+            let hh = h.matmul(store.get(wh)).add_row_broadcast(store.get(bh));
+            xi.add(&hh)
+        };
+        let sigmoid = crate::graph::stable_sigmoid;
+        let r = gate_pre(cell.w_ir, cell.b_ir, cell.w_hr, cell.b_hr).map(sigmoid);
+        let z = gate_pre(cell.w_iz, cell.b_iz, cell.w_hz, cell.b_hz).map(sigmoid);
+        let xn = x
+            .matmul(store.get(cell.w_in))
+            .add_row_broadcast(store.get(cell.b_in));
+        let hn = h
+            .matmul(store.get(cell.w_hn))
+            .add_row_broadcast(store.get(cell.b_hn));
+        let n = xn.add(&r.mul(&hn)).map(f32::tanh);
+        z.map(|v| 1.0 - v).mul(&n).add(&z.mul(h))
+    }
+
+    #[test]
+    fn fused_gru_is_bit_identical_to_six_matmuls() {
+        // Input width 99 is the MobileTab update input; hidden 16 and 128
+        // are the tiny and paper configs, 5 and 20 leave partial column
+        // tiles. Batches of 1, 5 and 63 cover single rows and ragged ends.
+        for (input_dim, hidden) in [(99, 16), (99, 128), (7, 5), (99, 20)] {
+            let mut store = ParamStore::new();
+            let mut r = rng();
+            let cell = GruCell::new("gru", input_dim, hidden, &mut store, &mut r);
+            for bias in [
+                cell.b_ir, cell.b_iz, cell.b_in, cell.b_hr, cell.b_hz, cell.b_hn,
+            ] {
+                *store.get_mut(bias) = Init::RecurrentUniform.build(1, hidden, &mut r);
+            }
+            for rows in [1, 5, 63] {
+                let mut x = Tensor::zeros(rows, input_dim);
+                let mut h = Tensor::zeros(rows, hidden);
+                for i in 0..rows {
+                    match i % 4 {
+                        // All-zero input and state (a cold user).
+                        0 => {}
+                        // Sparse input, as the one-hot update features are.
+                        1 | 2 => {
+                            for k in [i % input_dim, (3 * i + 1) % input_dim] {
+                                x.set(i, k, 1.0);
+                            }
+                            x.set(i, input_dim - 1, r.gen_range(-1.0..1.0));
+                            for k in 0..hidden {
+                                h.set(i, k, r.gen_range(-1.0..1.0));
+                            }
+                        }
+                        // Dense input with a zero state.
+                        _ => {
+                            for k in 0..input_dim {
+                                x.set(i, k, r.gen_range(-2.0..2.0));
+                            }
+                        }
+                    }
+                }
+                let fused = cell.forward_infer(&store, &x, &h);
+                let reference = gru_six_matmuls(&cell, &store, &x, &h);
+                assert_eq!(fused.shape(), (rows, hidden));
+                for (i, (a, b)) in fused
+                    .as_slice()
+                    .iter()
+                    .zip(reference.as_slice())
+                    .enumerate()
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "in {input_dim}, hidden {hidden}, batch {rows}: element {i} {a} vs {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod graph;
+mod gru_kernel;
 pub mod init;
 pub mod layers;
 pub mod optim;

@@ -273,49 +273,92 @@ impl RnnModel {
     }
 
     /// Inference: advances a stored state given an update input, without
-    /// building gradients.
+    /// building gradients. This is [`RnnModel::advance_state_rows`] with one
+    /// row: there is one inference path whatever the batch size.
     ///
     /// # Panics
     ///
     /// Panics if the input lengths do not match the model.
     pub fn advance_state(&self, state: &[f32], update_input: &[f32]) -> Vec<f32> {
         assert_eq!(state.len(), self.state_dim(), "state length mismatch");
-        assert_eq!(
-            update_input.len(),
-            self.update_input_dims(),
-            "update input length mismatch"
-        );
-        let mut graph = Graph::new();
-        let s = graph.constant(Tensor::from_row(state));
-        let x = graph.constant(Tensor::from_row(update_input));
-        let next = self.update_node(&mut graph, s, x);
-        graph.value(next).as_slice().to_vec()
+        self.advance_state_rows(state.to_vec(), update_input.to_vec())
     }
 
     /// Inference: predicted access probability from a stored state and a
     /// prediction input, without building gradients (dropout disabled).
+    /// This is [`RnnModel::predict_proba_rows`] with one row.
     ///
     /// # Panics
     ///
     /// Panics if the input lengths do not match the model.
     pub fn predict_proba(&self, state: &[f32], predict_input: &[f32]) -> f64 {
         assert_eq!(state.len(), self.state_dim(), "state length mismatch");
-        assert_eq!(
-            predict_input.len(),
-            self.predict_input_dims(),
-            "predict input length mismatch"
-        );
-        let mut graph = Graph::new();
-        let s = graph.constant(Tensor::from_row(state));
-        let x = graph.constant(Tensor::from_row(predict_input));
-        // Dropout disabled ⇒ the RNG is never used.
-        let mut rng = StdRng::seed_from_u64(0);
-        let logit = self.predict_logit_node(&mut graph, s, x, false, &mut rng);
-        stable_sigmoid(graph.value(logit).at(0, 0)) as f64
+        self.predict_proba_rows(state.to_vec(), predict_input.to_vec())[0]
     }
 
-    /// Inference-only update step over a whole batch tensor (no autograd
-    /// tape, no weight copies).
+    /// Batched inference over one contiguous batch: `states` holds `B`
+    /// row-major states of [`RnnModel::state_dim`] entries and
+    /// `update_inputs` the matching `B` rows of
+    /// [`RnnModel::update_input_dims`]. Returns the `B` next states,
+    /// row-major. One graph-free forward pass serves the whole batch — no
+    /// autograd tape, no per-call copies of the weight matrices — and row
+    /// `i` equals the tape forward pass [`RnnModel::update_node`] on that
+    /// row alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers do not hold the same whole number of rows.
+    pub fn advance_state_rows(&self, states: Vec<f32>, update_inputs: Vec<f32>) -> Vec<f32> {
+        let rows = self.rows_of(&states, &update_inputs, self.update_input_dims(), "update");
+        let s = Tensor::from_vec(rows, self.state_dim(), states);
+        let x = Tensor::from_vec(rows, self.update_input_dims(), update_inputs);
+        self.update_infer(&s, &x).into_vec()
+    }
+
+    /// Batched inference over one contiguous batch (see
+    /// [`RnnModel::advance_state_rows`] for the layout): returns the `B`
+    /// predicted access probabilities, dropout disabled. Element `i` equals
+    /// the tape forward pass [`RnnModel::predict_logit_node`] on row `i`
+    /// alone, through a sigmoid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffers do not hold the same whole number of rows.
+    pub fn predict_proba_rows(&self, states: Vec<f32>, predict_inputs: Vec<f32>) -> Vec<f64> {
+        let rows = self.rows_of(
+            &states,
+            &predict_inputs,
+            self.predict_input_dims(),
+            "predict",
+        );
+        let s = Tensor::from_vec(rows, self.state_dim(), states);
+        let x = Tensor::from_vec(rows, self.predict_input_dims(), predict_inputs);
+        self.predict_logit_infer(&s, &x)
+            .as_slice()
+            .iter()
+            .map(|&logit| f64::from(stable_sigmoid(logit)))
+            .collect()
+    }
+
+    /// Number of rows in a contiguous batch, checking that the state and
+    /// input buffers agree.
+    fn rows_of(&self, states: &[f32], inputs: &[f32], input_dims: usize, what: &str) -> usize {
+        let state_dim = self.state_dim();
+        assert!(
+            states.len().is_multiple_of(state_dim),
+            "state length mismatch: {} is not a multiple of {state_dim}",
+            states.len()
+        );
+        let rows = states.len() / state_dim;
+        assert_eq!(
+            inputs.len(),
+            rows * input_dims,
+            "{what} input length mismatch: {rows} rows of {input_dims} expected"
+        );
+        rows
+    }
+
+    /// Inference-only update step over a whole batch tensor.
     fn update_infer(&self, state: &Tensor, update_input: &Tensor) -> Tensor {
         match &self.cell {
             Cell::Tanh(c) => c.forward_infer(&self.params, update_input, state),
@@ -327,20 +370,23 @@ impl RnnModel {
     /// Inference-only prediction head over a whole batch tensor, returning
     /// per-row logits (dropout disabled).
     fn predict_logit_infer(&self, state: &Tensor, predict_input: &Tensor) -> Tensor {
+        let lstm_hidden;
         let h = match &self.cell {
-            Cell::Lstm(_) => state.slice_cols(0, self.config.hidden_dim),
-            _ => state.clone(),
+            Cell::Lstm(_) => {
+                lstm_hidden = state.slice_cols(0, self.config.hidden_dim);
+                &lstm_hidden
+            }
+            _ => state,
         };
-        let crossed = if let Some(latent) = &self.latent {
+        let joined = if let Some(latent) = &self.latent {
             // h' = h ⊙ (1 + L(f))
             let one_plus = latent
                 .forward_infer(&self.params, predict_input)
                 .map(|v| v + 1.0);
-            h.mul(&one_plus)
+            h.mul(&one_plus).concat_cols(predict_input)
         } else {
-            h
+            h.concat_cols(predict_input)
         };
-        let joined = crossed.concat_cols(predict_input);
         let activated = self
             .mlp_hidden
             .forward_infer(&self.params, &joined)
@@ -348,11 +394,9 @@ impl RnnModel {
         self.mlp_out.forward_infer(&self.params, &activated)
     }
 
-    /// Batched inference: advances `states.len()` stored states in one
-    /// graph-free forward pass — one `B × d` matmul per gate instead of `B`
-    /// separate `1 × d` matmuls, with no autograd tape and no per-call
-    /// copies of the weight matrices. Row `i` of the result equals
-    /// `advance_state(&states[i], &update_inputs[i])`.
+    /// Batched inference over per-row slices: copies the rows into one
+    /// contiguous batch and runs [`RnnModel::advance_state_rows`]. Row `i`
+    /// of the result equals `advance_state(&states[i], &update_inputs[i])`.
     ///
     /// # Panics
     ///
@@ -370,35 +414,17 @@ impl RnnModel {
             states.len(),
             update_inputs.len()
         );
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let state_rows: Vec<&[f32]> = states.iter().map(std::convert::AsRef::as_ref).collect();
-        let input_rows: Vec<&[f32]> = update_inputs
-            .iter()
-            .map(std::convert::AsRef::as_ref)
-            .collect();
-        for row in &state_rows {
-            assert_eq!(row.len(), self.state_dim(), "state length mismatch");
-        }
-        for row in &input_rows {
-            assert_eq!(
-                row.len(),
-                self.update_input_dims(),
-                "update input length mismatch"
-            );
-        }
-        let s = Tensor::from_rows(&state_rows);
-        let x = Tensor::from_rows(&input_rows);
-        self.update_infer(&s, &x)
-            .iter_rows()
+        let (s, x) = self.contiguous(states, update_inputs, self.update_input_dims(), "update");
+        self.advance_state_rows(s, x)
+            .chunks_exact(self.state_dim())
             .map(<[f32]>::to_vec)
             .collect()
     }
 
-    /// Batched inference: serves `states.len()` predictions through one
-    /// graph-free forward pass (dropout disabled). Element `i` of the result
-    /// equals `predict_proba(&states[i], &predict_inputs[i])`.
+    /// Batched inference over per-row slices (dropout disabled): copies the
+    /// rows into one contiguous batch and runs
+    /// [`RnnModel::predict_proba_rows`]. Element `i` of the result equals
+    /// `predict_proba(&states[i], &predict_inputs[i])`.
     ///
     /// # Panics
     ///
@@ -416,30 +442,33 @@ impl RnnModel {
             states.len(),
             predict_inputs.len()
         );
-        if states.is_empty() {
-            return Vec::new();
+        let (s, x) = self.contiguous(states, predict_inputs, self.predict_input_dims(), "predict");
+        self.predict_proba_rows(s, x)
+    }
+
+    /// Concatenates per-row state and input slices into contiguous
+    /// buffers, checking every row's width.
+    fn contiguous<S, X>(
+        &self,
+        states: &[S],
+        inputs: &[X],
+        input_dims: usize,
+        what: &str,
+    ) -> (Vec<f32>, Vec<f32>)
+    where
+        S: AsRef<[f32]>,
+        X: AsRef<[f32]>,
+    {
+        let mut s = Vec::with_capacity(states.len() * self.state_dim());
+        let mut x = Vec::with_capacity(inputs.len() * input_dims);
+        for (state, input) in states.iter().zip(inputs) {
+            let (state, input) = (state.as_ref(), input.as_ref());
+            assert_eq!(state.len(), self.state_dim(), "state length mismatch");
+            assert_eq!(input.len(), input_dims, "{what} input length mismatch");
+            s.extend_from_slice(state);
+            x.extend_from_slice(input);
         }
-        let state_rows: Vec<&[f32]> = states.iter().map(std::convert::AsRef::as_ref).collect();
-        let input_rows: Vec<&[f32]> = predict_inputs
-            .iter()
-            .map(std::convert::AsRef::as_ref)
-            .collect();
-        for row in &state_rows {
-            assert_eq!(row.len(), self.state_dim(), "state length mismatch");
-        }
-        for row in &input_rows {
-            assert_eq!(
-                row.len(),
-                self.predict_input_dims(),
-                "predict input length mismatch"
-            );
-        }
-        let s = Tensor::from_rows(&state_rows);
-        let x = Tensor::from_rows(&input_rows);
-        let out = self.predict_logit_infer(&s, &x);
-        (0..out.rows())
-            .map(|r| stable_sigmoid(out.at(r, 0)) as f64)
-            .collect()
+        (s, x)
     }
 
     /// Approximate FLOPs of one `RNN_update` call (one session), used by the
@@ -651,6 +680,83 @@ mod tests {
                 let single_h = m.advance_state(&states[i], &update_inputs[i]);
                 for (a, b) in batch_states[i].iter().zip(&single_h) {
                     assert!((a - b).abs() < 1e-6, "cell {cell}, row {i}: state drift");
+                }
+            }
+        }
+    }
+
+    /// The graph-free serving path against the tape forward pass that
+    /// training differentiates: if these ever disagree, the model serves
+    /// different numbers from the ones it was trained to produce.
+    #[test]
+    fn graph_free_inference_matches_the_tape_oracle() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for cell in [CellKind::Tanh, CellKind::Gru, CellKind::Lstm] {
+            for latent_cross in [true, false] {
+                let m = RnnModel::new(
+                    DatasetKind::MobileTab,
+                    TaskKind::PerSession,
+                    RnnModelConfig {
+                        cell,
+                        latent_cross,
+                        ..RnnModelConfig::tiny()
+                    },
+                    9,
+                );
+                let f = m.featurizer();
+                for rows in [1usize, 3, 64] {
+                    let mut states = Vec::new();
+                    let mut update_inputs = Vec::new();
+                    let mut predict_inputs = Vec::new();
+                    for i in 0..rows as i64 {
+                        // Row 0 is a cold user (h_0); the rest are warm.
+                        let state: Vec<f32> = (0..m.state_dim())
+                            .map(|_| {
+                                if i == 0 {
+                                    0.0
+                                } else {
+                                    rng.gen_range(-1.0..1.0)
+                                }
+                            })
+                            .collect();
+                        let ctx = Context::MobileTab {
+                            unread_count: (i % 11) as u8,
+                            active_tab: Tab::ALL[i as usize % Tab::ALL.len()],
+                        };
+                        states.extend_from_slice(&state);
+                        f.append_update_input(
+                            3_600 * i,
+                            &ctx,
+                            90 * i,
+                            i % 2 == 0,
+                            &mut update_inputs,
+                        );
+                        f.append_predict_input(3_600 * i + 60, &ctx, 60 * i, &mut predict_inputs);
+                    }
+                    let next = m.advance_state_rows(states.clone(), update_inputs.clone());
+                    let probs = m.predict_proba_rows(states.clone(), predict_inputs.clone());
+                    let rows_of = |v: &[f32], width: usize| -> Vec<Vec<f32>> {
+                        v.chunks_exact(width).map(<[f32]>::to_vec).collect()
+                    };
+                    let state_rows = rows_of(&states, m.state_dim());
+                    let update_rows = rows_of(&update_inputs, m.update_input_dims());
+                    let predict_rows = rows_of(&predict_inputs, m.predict_input_dims());
+                    for i in 0..rows {
+                        let mut graph = Graph::new();
+                        let s = graph.constant(Tensor::from_row(&state_rows[i]));
+                        let u = graph.constant(Tensor::from_row(&update_rows[i]));
+                        let p = graph.constant(Tensor::from_row(&predict_rows[i]));
+                        let tape_next = m.update_node(&mut graph, s, u);
+                        let logit = m.predict_logit_node(&mut graph, s, p, false, &mut rng);
+                        let tape_p = f64::from(stable_sigmoid(graph.value(logit).at(0, 0)));
+                        let what =
+                            format!("{cell}, latent cross {latent_cross}, batch {rows}, row {i}");
+                        assert!((probs[i] - tape_p).abs() < 1e-6, "{what}: predict");
+                        let served = &next[i * m.state_dim()..(i + 1) * m.state_dim()];
+                        for (a, b) in served.iter().zip(graph.value(tape_next).as_slice()) {
+                            assert!((a - b).abs() < 1e-6, "{what}: update {a} vs {b}");
+                        }
+                    }
                 }
             }
         }

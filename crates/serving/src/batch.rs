@@ -1,13 +1,13 @@
 //! Batched request scheduling: coalesce concurrent session-start requests
 //! into one GRU/MLP forward pass per batch.
 //!
-//! The single-request path builds one autograd graph per prediction —
-//! per-call overhead (graph nodes, allocations) dominates the actual
-//! arithmetic at the paper's model sizes. At production request rates many
-//! session starts are in flight at once, so the serving engine can instead
-//! drain the arrival queue into batches and run **one `B × d` matmul per
-//! layer instead of `B` separate `1 × d` matmuls**
-//! ([`RnnModel::predict_proba_batch`] / [`RnnModel::advance_state_batch`]).
+//! At production request rates many session starts are in flight at once,
+//! so the serving engine drains the arrival queue into batches, assembles
+//! each batch's states and inputs into one contiguous `B × d` buffer apiece
+//! and serves it with **one graph-free forward pass**
+//! ([`RnnModel::predict_proba_rows`] / [`RnnModel::advance_state_rows`]).
+//! A batch of one runs the same kernel: there is no separate single-request
+//! path.
 //!
 //! Two layers are provided:
 //!
@@ -90,7 +90,8 @@ impl SchedulerStats {
 }
 
 /// Synchronous batching core: queue session-start requests, then flush them
-/// through batched forward passes against a sharded state store.
+/// through batched forward passes against a sharded state store. Every
+/// chunk, including a chunk of one, runs the same graph-free kernel.
 #[derive(Debug)]
 pub struct BatchScheduler<'a> {
     model: &'a RnnModel,
@@ -242,7 +243,7 @@ impl<'a> BatchScheduler<'a> {
             // same-user duplicates are deferred to a later round. Once the
             // chunk fills we stop scanning, so each round is O(chunk +
             // duplicates), not O(remaining).
-            let mut chunk: Vec<&UpdateRequest> = Vec::new();
+            let mut chunk: Vec<UpdateRequest> = Vec::new();
             let mut seen = HashSet::new();
             let mut deferred: Vec<&UpdateRequest> = Vec::new();
             while chunk.len() < self.max_batch {
@@ -250,7 +251,7 @@ impl<'a> BatchScheduler<'a> {
                     break;
                 };
                 if seen.insert(request.user_id) {
-                    chunk.push(request);
+                    chunk.push(*request);
                 } else {
                     deferred.push(request);
                 }
@@ -262,33 +263,7 @@ impl<'a> BatchScheduler<'a> {
                 remaining.push_front(request);
             }
 
-            let states: Vec<Vec<f32>> = chunk
-                .iter()
-                .map(|r| {
-                    self.store
-                        .get_state(r.user_id)
-                        .unwrap_or_else(|| self.model.initial_state())
-                })
-                .collect();
-            let inputs: Vec<Vec<f32>> = chunk
-                .iter()
-                .map(|r| {
-                    self.model.featurizer().update_input(
-                        r.timestamp,
-                        &r.context,
-                        r.delta_t_secs,
-                        r.accessed,
-                    )
-                })
-                .collect();
-            let next_states = if chunk.len() == 1 {
-                vec![self.model.advance_state(&states[0], &inputs[0])]
-            } else {
-                self.model.advance_state_batch(&states, &inputs)
-            };
-            for (request, next) in chunk.iter().zip(&next_states) {
-                self.store.put_state(request.user_id, next);
-            }
+            update_chunk(self.model, self.store, &chunk, None);
             self.stats.updates += chunk.len() as u64;
             self.stats.batches += 1;
             self.stats.largest_batch = self.stats.largest_batch.max(chunk.len());
@@ -325,11 +300,37 @@ impl BatchMarks {
     }
 }
 
+/// Reads each user's stored state, or `h_0` for a user with none, into one
+/// contiguous `B × state_dim` buffer.
+///
+/// # Panics
+///
+/// Panics if a stored state's length does not match the model.
+fn assemble_states(
+    model: &RnnModel,
+    store: &ShardedStateStore,
+    users: impl ExactSizeIterator<Item = UserId>,
+) -> Vec<f32> {
+    let dim = model.state_dim();
+    let mut states = Vec::with_capacity(users.len() * dim);
+    for user in users {
+        let start = states.len();
+        if !store.append_state(user, &mut states) {
+            // `initial_state()` is all zeros.
+            states.resize(start + dim, 0.0);
+        }
+        assert_eq!(states.len() - start, dim, "stored state length mismatch");
+    }
+    states
+}
+
 /// Serves one chunk of predictions (shared by the scheduler and the
 /// threaded engine); callers account for batching statistics themselves.
-/// Singleton chunks take the plain single-request path so `max_batch = 1`
-/// reproduces the baseline exactly. `marks` (traced engine batches only)
-/// receives the stage boundaries for span emission.
+/// The chunk's states and inputs are assembled into one contiguous buffer
+/// each and served by one graph-free forward pass, whatever the chunk's
+/// size — `max_batch = 1` runs the same kernel one row at a time. `marks`
+/// (traced engine batches only) receives the stage boundaries for span
+/// emission.
 fn predict_chunk(
     model: &RnnModel,
     store: &ShardedStateStore,
@@ -339,32 +340,22 @@ fn predict_chunk(
     let obs = crate::obs::ServingObs::global();
     obs.batch_size.record(chunk.len() as u64);
     let assembly = pp_obs::Stopwatch::start();
-    let states: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            store
-                .get_state(r.user_id)
-                .unwrap_or_else(|| model.initial_state())
-        })
-        .collect();
-    let inputs: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            model
-                .featurizer()
-                .predict_input(r.timestamp, &r.context, r.elapsed_secs)
-        })
-        .collect();
+    let states = assemble_states(model, store, chunk.iter().map(|r| r.user_id));
+    let mut inputs = Vec::with_capacity(chunk.len() * model.predict_input_dims());
+    for r in chunk {
+        model.featurizer().append_predict_input(
+            r.timestamp,
+            &r.context,
+            r.elapsed_secs,
+            &mut inputs,
+        );
+    }
     assembly.record(&obs.batch_assembly_ns);
     if let Some(marks) = marks.as_mut() {
         marks.assembly_done = std::time::Instant::now();
     }
     let forward = pp_obs::Stopwatch::start();
-    let probabilities = if chunk.len() == 1 {
-        vec![model.predict_proba(&states[0], &inputs[0])]
-    } else {
-        model.predict_proba_batch(&states, &inputs)
-    };
+    let probabilities = model.predict_proba_rows(states, inputs);
     forward.record(&obs.forward_pass_ns);
     if let Some(marks) = marks {
         let now = std::time::Instant::now();
@@ -581,8 +572,9 @@ impl EngineStats {
 /// without a global lock; idle workers **steal** whole shard queues from
 /// busy peers, so skewed traffic still saturates every core.
 ///
-/// With `max_batch = 1` every request takes the single-request path, which
-/// is exactly the baseline the `load_gen` benchmark compares against.
+/// With `max_batch = 1` every request is served as a batch of one — the
+/// same kernel one row at a time — which is the baseline the `load_gen`
+/// benchmark compares against.
 #[derive(Debug)]
 pub struct BatchServingEngine {
     shared: Arc<EngineShared>,
@@ -672,6 +664,14 @@ impl BatchServingEngine {
         }
         let shared = &self.shared;
         let arrived = jobs.len();
+        // Count the jobs as queued before publishing any of them: a worker
+        // can only drain a job after taking the shard lock this thread
+        // releases below, so the lock orders this add before the worker's
+        // `fetch_sub` and the depth never underflows.
+        let depth = shared.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
+        crate::obs::ServingObs::global()
+            .queue_depth
+            .set(depth as f64);
         let mut notify_workers = vec![false; shared.num_workers()];
         for job in jobs {
             let shard = shared.store.shard_index(job.kind.user_id());
@@ -696,10 +696,6 @@ impl BatchServingEngine {
                 }
             }
         }
-        let depth = shared.queued.fetch_add(arrived, Ordering::Relaxed) + arrived;
-        crate::obs::ServingObs::global()
-            .queue_depth
-            .set(depth as f64);
         shared.bump_work_gen();
         for (worker, notify) in notify_workers.into_iter().enumerate() {
             if notify {
@@ -855,37 +851,31 @@ fn update_chunk(
     let obs = crate::obs::ServingObs::global();
     obs.batch_size.record(chunk.len() as u64);
     let assembly = pp_obs::Stopwatch::start();
-    let states: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            store
-                .get_state(r.user_id)
-                .unwrap_or_else(|| model.initial_state())
-        })
-        .collect();
-    let inputs: Vec<Vec<f32>> = chunk
-        .iter()
-        .map(|r| {
-            model
-                .featurizer()
-                .update_input(r.timestamp, &r.context, r.delta_t_secs, r.accessed)
-        })
-        .collect();
+    let states = assemble_states(model, store, chunk.iter().map(|r| r.user_id));
+    let mut inputs = Vec::with_capacity(chunk.len() * model.update_input_dims());
+    for r in chunk {
+        model.featurizer().append_update_input(
+            r.timestamp,
+            &r.context,
+            r.delta_t_secs,
+            r.accessed,
+            &mut inputs,
+        );
+    }
     assembly.record(&obs.batch_assembly_ns);
     if let Some(marks) = marks.as_mut() {
         marks.assembly_done = std::time::Instant::now();
     }
     let forward = pp_obs::Stopwatch::start();
-    let next_states = if chunk.len() == 1 {
-        vec![model.advance_state(&states[0], &inputs[0])]
-    } else {
-        model.advance_state_batch(&states, &inputs)
-    };
+    let next_states = model.advance_state_rows(states, inputs);
     forward.record(&obs.forward_pass_ns);
     if let Some(marks) = marks.as_mut() {
         marks.forward_done = std::time::Instant::now();
     }
-    for (request, next) in chunk.iter().zip(&next_states) {
+    for (request, next) in chunk
+        .iter()
+        .zip(next_states.chunks_exact(model.state_dim()))
+    {
         store.put_state(request.user_id, next);
     }
     if let Some(marks) = marks {
@@ -1639,27 +1629,41 @@ mod tests {
         let store = Arc::new(ShardedStateStore::new(4));
         let wait = std::time::Duration::from_secs(2);
         let engine = BatchServingEngine::start_with_coalesce(m, store.clone(), 2, 2, Some(wait));
-        // One user homed on worker 0, and two distinct users sharing a
-        // single worker-1 shard (same shard ⇒ whichever worker claims the
-        // shard sees both jobs, keeping the test deterministic under
-        // stealing).
-        let lone = (0..256)
-            .map(UserId)
-            .find(|&u| engine.home_worker(u) == 0)
-            .expect("a worker-0 user exists");
+        let lone = UserId(0);
+
+        // Some worker claims the lone user's shard and holds its partial
+        // batch open until t = 2s. Wait for the claim rather than sleeping:
+        // which worker wins it depends on scheduling.
+        let j1 = engine.submit(request(lone.0, 1));
+        let lone_queue = &engine.shared.queues[store.shard_index(lone)];
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while lone_queue.len.load(Ordering::Acquire) > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "lone job never claimed"
+            );
+            std::thread::yield_now();
+        }
+        // The drain's `len` store (Release) follows the claimant store.
+        let coalescer = lone_queue.claimant.load(Ordering::Acquire);
+        let peer = 1 - coalescer;
+        // Two distinct users sharing a single shard homed on the *other*
+        // worker (same shard ⇒ whichever worker claims the shard sees both
+        // jobs, keeping the test deterministic under stealing). Were they
+        // homed on the coalescer, or in the shard it holds, it would absorb
+        // the first into its own batch and leave the second to coalesce
+        // alone.
         let second = (0..256)
             .map(UserId)
-            .find(|&u| engine.home_worker(u) == 1)
-            .expect("a worker-1 user exists");
+            .find(|&u| {
+                engine.home_worker(u) == peer && store.shard_index(u) != store.shard_index(lone)
+            })
+            .expect("a user homed on the peer exists");
         let third = (0..256)
             .map(UserId)
             .find(|&u| u != second && store.shard_index(u) == store.shard_index(second))
             .expect("a second user in the same shard exists");
 
-        // Some worker claims the lone user's shard and holds its partial
-        // batch open until t = 2s.
-        let j1 = engine.submit(request(lone.0, 1));
-        std::thread::sleep(std::time::Duration::from_millis(100));
         // Two *separate* submits (two wakeup events — the pattern that
         // lost a wakeup in the old engine). They fill a max_batch = 2
         // batch and must be served immediately, long before any coalesce
@@ -1729,5 +1733,74 @@ mod tests {
         assert_eq!(stats.batches, 5);
         assert_eq!(stats.largest_batch, 1);
         assert!((stats.mean_batch_size() - 1.0).abs() < 1e-12);
+    }
+
+    /// Regression test for the queue-depth race: `enqueue` used to count a
+    /// burst as queued only after publishing all of it, so a worker could
+    /// drain the burst's first job and subtract it from the depth first. In
+    /// a debug build that subtraction overflowed and killed the worker; its
+    /// clients then saw a dropped reply channel. In a release build the
+    /// depth wrapped to about 1.8e19.
+    ///
+    /// The test forces that interleaving: it holds the second shard's queue
+    /// lock so the client stalls between publishing the first job and the
+    /// second, wakes the workers, and lets go only once a worker has served
+    /// the first job.
+    #[test]
+    fn queue_depth_is_counted_before_jobs_are_published() {
+        use std::time::{Duration, Instant};
+        let store = Arc::new(ShardedStateStore::new(4));
+        let engine = BatchServingEngine::start(Arc::new(model()), store.clone(), 2, 4);
+        let first = request(0, 0);
+        let second_user = (1..)
+            .map(UserId)
+            .find(|&u| store.shard_index(u) != store.shard_index(first.user_id))
+            .expect("4 shards hold users apart");
+        let second = PredictRequest {
+            user_id: second_user,
+            ..request(second_user.0, 1)
+        };
+        let shared = &engine.shared;
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::yield_now();
+            }
+        };
+        let replies = std::thread::scope(|scope| {
+            let stall = shared.queues[store.shard_index(second_user)]
+                .jobs
+                .lock_or_panic("test stall");
+            let client = scope.spawn(|| {
+                engine
+                    .submit_many(&[first, second])
+                    .into_iter()
+                    .map(|reply| reply.recv_timeout(Duration::from_secs(10)))
+                    .collect::<Vec<_>>()
+            });
+            let first_queue = &shared.queues[store.shard_index(first.user_id)];
+            // A worker still awake from start-up may drain it at once.
+            wait_for("the first job", &|| {
+                first_queue.len.load(Ordering::Acquire) > 0 || engine.stats().batches > 0
+            });
+            shared.bump_work_gen();
+            wait_for("a worker to serve the first job", &|| {
+                engine.stats().batches > 0
+            });
+            assert!(
+                shared.queued.load(Ordering::SeqCst) <= 2,
+                "queue depth wrapped below zero"
+            );
+            drop(stall);
+            client.join().expect("client thread panicked")
+        });
+        assert!(
+            replies.iter().all(Result::is_ok),
+            "requests lost to a dead worker: {replies:?}"
+        );
+        wait_for("the depth to drain", &|| {
+            shared.queued.load(Ordering::SeqCst) == 0
+        });
     }
 }

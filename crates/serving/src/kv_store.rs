@@ -280,14 +280,27 @@ pub fn encode_state_f32(state: &[f32]) -> Bytes {
 ///
 /// Panics if the byte length is not a multiple of 4.
 pub fn decode_state_f32(bytes: &Bytes) -> Vec<f32> {
+    let mut out = Vec::with_capacity(bytes.len() / 4);
+    append_decoded_state_f32(bytes, &mut out);
+    out
+}
+
+/// Appends the `f32` hidden state in `bytes` (see [`decode_state_f32`]) to
+/// `out`.
+///
+/// # Panics
+///
+/// Panics if the byte length is not a multiple of 4.
+pub fn append_decoded_state_f32(bytes: &Bytes, out: &mut Vec<f32>) {
     assert!(
         bytes.len().is_multiple_of(4),
         "state byte length must be a multiple of 4"
     );
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+    );
 }
 
 /// A uniformly quantized hidden state: one byte per dimension plus a scale

@@ -12,7 +12,10 @@
 //! encoding as the single-store pipeline, so the per-shard traffic
 //! counters stay comparable with the §9 cost model.
 
-use crate::kv_store::{decode_state_f32, encode_state_f32, EvictionPolicy, KvStore, StoreStats};
+use crate::kv_store::{
+    append_decoded_state_f32, decode_state_f32, encode_state_f32, EvictionPolicy, KvStore,
+    StoreStats,
+};
 use pp_data::schema::UserId;
 
 /// A fixed-size array of independent [`KvStore`] shards keyed by user-id
@@ -119,15 +122,22 @@ impl ShardedStateStore {
 
     /// Fetches a user's hidden state, if one is stored.
     pub fn get_state(&self, user: UserId) -> Option<Vec<f32>> {
+        let mut state = Vec::new();
+        self.append_state(user, &mut state).then_some(state)
+    }
+
+    /// Appends a user's stored hidden state to `out`, returning whether one
+    /// was stored (`out` is untouched otherwise). Batch assembly uses this
+    /// to decode every state of a batch straight into one buffer.
+    pub fn append_state(&self, user: UserId, out: &mut Vec<f32>) -> bool {
         let obs = crate::obs::ServingObs::global();
         obs.store_reads.inc();
-        let state = self.shards[self.shard_index(user)]
-            .get(&Self::key(user))
-            .map(|bytes| decode_state_f32(&bytes));
-        if state.is_some() {
-            obs.store_hits.inc();
-        }
-        state
+        let Some(bytes) = self.shards[self.shard_index(user)].get(&Self::key(user)) else {
+            return false;
+        };
+        append_decoded_state_f32(&bytes, out);
+        obs.store_hits.inc();
+        true
     }
 
     /// Stores a user's hidden state, replacing any previous one.
@@ -212,6 +222,16 @@ mod tests {
             assert_eq!(store.get_state(UserId(id)).unwrap(), expected, "user {id}");
         }
         assert!(store.get_state(UserId(10_000)).is_none());
+    }
+
+    #[test]
+    fn append_state_extends_the_buffer_only_on_a_hit() {
+        let store = ShardedStateStore::new(4);
+        store.put_state(UserId(1), &[1.0, 2.0]);
+        let mut batch = vec![9.0];
+        assert!(store.append_state(UserId(1), &mut batch));
+        assert!(!store.append_state(UserId(2), &mut batch));
+        assert_eq!(batch, vec![9.0, 1.0, 2.0]);
     }
 
     #[test]
