@@ -48,10 +48,10 @@ impl Default for LintConfig {
             // The workspace lock hierarchy, outermost first:
             //   shard job queue (10) → store shard (20) → store stats (25)
             //     → obs lanes/rings (30) → wakeup mutexes (40).
-            // The wakeup mutexes (work generation, per-worker signal) are
-            // innermost: nothing may be acquired while holding them, which
-            // is exactly the discipline the two-channel wakeup protocol in
-            // pp-serving::batch relies on to stay deadlock-free.
+            // The wakeup mutex (the work generation) is innermost: nothing
+            // may be acquired while holding it, which is exactly the
+            // discipline the wakeup protocol in pp-serving::batch relies on
+            // to stay deadlock-free.
             lock_classes: vec![
                 LockClassEntry {
                     class: "queue",
@@ -137,18 +137,12 @@ impl Default for LintConfig {
                     ident: "work_gen",
                     path_contains: Some("crates/serving/"),
                 },
-                LockClassEntry {
-                    class: "wakeup",
-                    rank: 40,
-                    ident: "seq",
-                    path_contains: Some("crates/serving/"),
-                },
             ],
             // The wakeup / claim / shutdown protocol atomics. `len` is the
             // shard queues' lock-free emptiness hint — its Release store /
             // Acquire load pairing is what lets gather() skip idle shards
             // without locking, so Relaxed there is a real bug.
-            protocol_atomics: vec!["shutdown", "stop", "claimed", "claimant", "len"],
+            protocol_atomics: vec!["shutdown", "stop", "claimed", "len"],
             skip_paths: vec!["/target/", "shims/", "crates/analysis/tests/fixtures/"],
             obs_gating_exempt_paths: vec!["crates/obs/"],
         }

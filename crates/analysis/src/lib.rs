@@ -22,8 +22,8 @@
 //! Suppress a finding with a justification comment:
 //!
 //! ```text
-//! // Stale hints only cost a spurious wakeup. pp-lint: allow(atomic-ordering)
-//! let claimant = queue.claimant.load(Ordering::Relaxed);
+//! // A stale claim only costs one skipped scan. pp-lint: allow(atomic-ordering)
+//! let busy = queue.claimed.load(Ordering::Relaxed);
 //! ```
 //!
 //! Unused suppressions are themselves violations (`unused-suppression`),

@@ -54,17 +54,14 @@
 //! a `config` block, one entry per mode with `sessions_per_sec` and
 //! latency percentiles in microseconds, a `speedup` block, and a `metrics`
 //! block — the final `pp-obs` registry snapshot with per-stage latency
-//! percentiles (batch assembly, forward pass, coalesce wait, store
-//! traffic).
+//! percentiles (batch assembly, forward pass, store traffic).
 
 use pp_bench::{env_or, print_tail_report, section, Scale};
 use pp_data::schema::DatasetKind;
 use pp_data::synth::{MobileTabGenerator, SyntheticGenerator};
 use pp_obs::sync::LockPolicy;
 use pp_rnn::{RnnModel, RnnModelConfig, TaskKind};
-use pp_serving::{
-    BatchScheduler, BatchServingEngine, PredictRequest, ShardedStateStore, UpdateRequest,
-};
+use pp_serving::{BatchServingEngine, PredictRequest, ShardedStateStore, UpdateRequest};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -502,8 +499,8 @@ fn main() {
         }
     }
     {
-        let mut warmer = BatchScheduler::new(&model, &store, max_batch);
-        warmer.apply_updates(&warm_updates);
+        let warmer = BatchServingEngine::start(model.clone(), store.clone(), workers, max_batch);
+        warmer.apply_updates_blocking(&warm_updates);
         println!(
             "warmed {} hidden states with {} updates ({} forward passes)",
             store.len(),
@@ -550,8 +547,8 @@ fn main() {
     // any throughput number means anything.
     {
         let sample: Vec<PredictRequest> = requests.iter().step_by(97).take(32).copied().collect();
-        let mut check = BatchScheduler::new(&model, &store, sample.len().max(2));
-        let batched = check.run(sample.iter().copied());
+        let check = BatchServingEngine::start(model.clone(), store.clone(), workers, max_batch);
+        let batched = check.predict_many_blocking(&sample);
         for (request, prediction) in sample.iter().zip(&batched) {
             let state = store
                 .get_state(request.user_id)
@@ -668,7 +665,6 @@ fn main() {
         section("metrics (pp-obs)");
         println!("  batch assembly  {}", stage("serving.batch_assembly_ns"));
         println!("  forward pass    {}", stage("serving.forward_pass_ns"));
-        println!("  coalesce wait   {}", stage("serving.coalesce_wait_ns"));
     }
     print_tail_report(&trace);
     if let Ok(trace_path) = std::env::var("PP_OBS_TRACE") {

@@ -91,8 +91,8 @@ use pp_precompute::{
 };
 use pp_rnn::{scores_and_labels, RnnModel, RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
 use pp_serving::{
-    rnn_profile, BatchScheduler, BatchServingEngine, CostWeights, PredictRequest, Prediction,
-    ShardedStateStore, UpdateRequest,
+    rnn_profile, BatchServingEngine, CostWeights, PredictRequest, Prediction, ShardedStateStore,
+    UpdateRequest,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -466,8 +466,6 @@ impl WaveScorer for OracleScorer {
 /// wiring of §9: `RNN_predict` on the request path, `RNN_update` once the
 /// session outcome is known.
 struct LearnedScorer {
-    model: Arc<RnnModel>,
-    store: Arc<ShardedStateStore>,
     engine: BatchServingEngine,
     /// Timestamp of each user's last applied hidden-state update.
     last_update: HashMap<u64, i64>,
@@ -476,11 +474,8 @@ struct LearnedScorer {
 impl LearnedScorer {
     fn new(model: Arc<RnnModel>, seed_shards: usize) -> Self {
         let store = Arc::new(ShardedStateStore::with_capacity(seed_shards, 1 << 20));
-        let engine = BatchServingEngine::start(model.clone(), store.clone(), 2, 64);
         Self {
-            model,
-            store,
-            engine,
+            engine: BatchServingEngine::start(model, store, 2, 64),
             last_update: HashMap::new(),
         }
     }
@@ -521,7 +516,7 @@ impl WaveScorer for LearnedScorer {
                 accessed: e.accessed,
             })
             .collect();
-        BatchScheduler::new(&self.model, &self.store, 64).apply_updates(&updates);
+        self.engine.apply_updates_blocking(&updates);
         for e in wave {
             self.last_update.insert(e.user.0, e.timestamp);
         }

@@ -5,7 +5,7 @@
 //! module answers *attribution*. A deterministically sampled subset of
 //! requests (seeded user-id hash, so the same traffic samples the same
 //! users on every run) gets a fixed-size [`Span`] record per lifecycle
-//! stage — arrival → queue wait → claim/coalesce hold → batch assembly →
+//! stage — arrival → queue wait → claim hold → batch assembly →
 //! forward pass → state write-back → reply — written into bounded
 //! per-worker buffers. Batch-level spans link their member jobs through a
 //! shared batch sequence number, and the precompute loop's wave-admission
@@ -56,7 +56,7 @@ pub enum Stage {
     Request,
     /// Arrival in the shard queue until a worker claimed the job.
     QueueWait,
-    /// Claimed until batch execution began (covers the coalesce hold).
+    /// Claimed until batch execution began.
     CoalesceHold,
     /// State fetch + featurization of the job's batch.
     BatchAssembly,

@@ -1,22 +1,18 @@
-//! Batched request scheduling: coalesce concurrent session-start requests
+//! Batched request serving: coalesce concurrent session-start requests
 //! into one GRU/MLP forward pass per batch.
 //!
 //! At production request rates many session starts are in flight at once,
-//! so the serving engine drains the arrival queue into batches, assembles
+//! so the serving engine drains the arrival queues into batches, assembles
 //! each batch's states and inputs into one contiguous `B × d` buffer apiece
 //! and serves it with **one graph-free forward pass**
 //! ([`RnnModel::predict_proba_rows`] / [`RnnModel::advance_state_rows`]).
 //! A batch of one runs the same kernel: there is no separate single-request
 //! path.
 //!
-//! Two layers are provided:
-//!
-//! * [`BatchScheduler`] — the synchronous core: a queue plus flush logic
-//!   against a [`ShardedStateStore`], deterministic and directly testable
-//!   for batched-vs-single equivalence;
-//! * [`BatchServingEngine`] — worker threads around the same logic: clients
-//!   submit requests from any thread, workers drain the shared queue in
-//!   batches of up to `max_batch`, reply over per-request channels.
+//! [`BatchServingEngine`] is the one batcher: clients submit requests from
+//! any thread, worker threads drain per-shard queues of a
+//! [`ShardedStateStore`] in batches of up to `max_batch` and reply over
+//! per-request channels.
 
 use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Context, UserId};
@@ -65,219 +61,13 @@ pub struct Prediction {
     pub probability: f64,
 }
 
-/// Counters describing scheduler behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedulerStats {
-    /// Predictions served.
-    pub predictions: u64,
-    /// Hidden-state updates applied.
-    pub updates: u64,
-    /// Forward passes executed (batched or singleton).
-    pub batches: u64,
-    /// Largest batch coalesced into one forward pass.
-    pub largest_batch: usize,
-}
-
-impl SchedulerStats {
-    /// Mean requests per forward pass (1.0 when nothing ran).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            1.0
-        } else {
-            (self.predictions + self.updates) as f64 / self.batches as f64
-        }
-    }
-}
-
-/// Synchronous batching core: queue session-start requests, then flush them
-/// through batched forward passes against a sharded state store. Every
-/// chunk, including a chunk of one, runs the same graph-free kernel.
-#[derive(Debug)]
-pub struct BatchScheduler<'a> {
-    model: &'a RnnModel,
-    store: &'a ShardedStateStore,
-    max_batch: usize,
-    /// Oldest-first queue of (submission time, request); requests submitted
-    /// without a timestamp carry `i64::MIN` and are always considered due.
-    queue: VecDeque<(i64, PredictRequest)>,
-    /// Maximum seconds a queued request may wait before a partial batch
-    /// flushes anyway (`None` = only flush when asked or full).
-    max_wait_secs: Option<i64>,
-    stats: SchedulerStats,
-}
-
-impl<'a> BatchScheduler<'a> {
-    /// Creates a scheduler around a model and sharded store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn new(model: &'a RnnModel, store: &'a ShardedStateStore, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "max_batch must be positive");
-        Self {
-            model,
-            store,
-            max_batch,
-            queue: VecDeque::new(),
-            max_wait_secs: None,
-            stats: SchedulerStats::default(),
-        }
-    }
-
-    /// Creates a scheduler whose [`BatchScheduler::flush_due`] flushes a
-    /// partial batch once its oldest request has waited `max_wait_secs` —
-    /// under low traffic requests are served within the deadline instead of
-    /// waiting (potentially forever) for `max_batch` arrivals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero or `max_wait_secs` is negative.
-    pub fn with_max_wait(
-        model: &'a RnnModel,
-        store: &'a ShardedStateStore,
-        max_batch: usize,
-        max_wait_secs: i64,
-    ) -> Self {
-        assert!(max_wait_secs >= 0, "max_wait_secs must be non-negative");
-        let mut scheduler = Self::new(model, store, max_batch);
-        scheduler.max_wait_secs = Some(max_wait_secs);
-        scheduler
-    }
-
-    /// The configured maximum batch size.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The configured partial-batch flush deadline, if any.
-    pub fn max_wait_secs(&self) -> Option<i64> {
-        self.max_wait_secs
-    }
-
-    /// Number of queued, not-yet-flushed requests.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
-
-    /// Queues one session-start request with unknown submission time: when
-    /// a `max_wait` deadline is configured, [`BatchScheduler::flush_due`]
-    /// treats it as having already waited past any deadline.
-    pub fn submit(&mut self, request: PredictRequest) {
-        self.queue.push_back((i64::MIN, request));
-    }
-
-    /// Queues one session-start request submitted at `now` (seconds on the
-    /// same clock later passed to [`BatchScheduler::flush_due`]).
-    pub fn submit_at(&mut self, request: PredictRequest, now: i64) {
-        self.queue.push_back((now, request));
-    }
-
-    /// Flushes the queue, serving every pending request in batches of up to
-    /// `max_batch`. Results are in submission order.
-    pub fn flush(&mut self) -> Vec<Prediction> {
-        let requests: Vec<PredictRequest> = self.queue.drain(..).map(|(_, r)| r).collect();
-        self.serve_chunks(&requests)
-    }
-
-    /// Flushes only what is *due* at `now`: every full batch, plus — when a
-    /// `max_wait` deadline is configured — a final partial batch whose
-    /// oldest request has already waited `max_wait_secs`. Without a deadline
-    /// this serves full batches only, leaving the remainder queued.
-    pub fn flush_due(&mut self, now: i64) -> Vec<Prediction> {
-        let mut due = self.queue.len() - self.queue.len() % self.max_batch;
-        if due < self.queue.len() {
-            if let Some(max_wait) = self.max_wait_secs {
-                // Submission times are caller-supplied and need not be
-                // monotone, so scan the leftovers for the earliest stamp
-                // (an untimed `submit` stamp of `i64::MIN` is always due).
-                let oldest = self
-                    .queue
-                    .iter()
-                    .skip(due)
-                    .map(|&(submitted, _)| submitted)
-                    .min()
-                    .expect("leftover entries exist");
-                if oldest == i64::MIN || now.saturating_sub(oldest) >= max_wait {
-                    due = self.queue.len();
-                }
-            }
-        }
-        let requests: Vec<PredictRequest> = self.queue.drain(..due).map(|(_, r)| r).collect();
-        self.serve_chunks(&requests)
-    }
-
-    fn serve_chunks(&mut self, requests: &[PredictRequest]) -> Vec<Prediction> {
-        let mut out = Vec::with_capacity(requests.len());
-        for chunk in requests.chunks(self.max_batch) {
-            out.extend(predict_chunk(self.model, self.store, chunk, None));
-            self.stats.predictions += chunk.len() as u64;
-            self.stats.batches += 1;
-            self.stats.largest_batch = self.stats.largest_batch.max(chunk.len());
-        }
-        out
-    }
-
-    /// Convenience: submit a whole wave of concurrent requests and flush.
-    pub fn run(&mut self, requests: impl IntoIterator<Item = PredictRequest>) -> Vec<Prediction> {
-        for request in requests {
-            self.submit(request);
-        }
-        self.flush()
-    }
-
-    /// Applies session-close updates in batches of up to `max_batch`,
-    /// advancing and re-storing each user's hidden state.
-    ///
-    /// Multiple updates for the *same* user are applied in order: a batch
-    /// never contains the same user twice, so the second update reads the
-    /// state the first one wrote.
-    pub fn apply_updates(&mut self, requests: &[UpdateRequest]) {
-        let mut remaining: VecDeque<&UpdateRequest> = requests.iter().collect();
-        while !remaining.is_empty() {
-            // Greedily take up to max_batch requests with distinct users;
-            // same-user duplicates are deferred to a later round. Once the
-            // chunk fills we stop scanning, so each round is O(chunk +
-            // duplicates), not O(remaining).
-            let mut chunk: Vec<UpdateRequest> = Vec::new();
-            let mut seen = HashSet::new();
-            let mut deferred: Vec<&UpdateRequest> = Vec::new();
-            while chunk.len() < self.max_batch {
-                let Some(request) = remaining.pop_front() else {
-                    break;
-                };
-                if seen.insert(request.user_id) {
-                    chunk.push(*request);
-                } else {
-                    deferred.push(request);
-                }
-            }
-            // Deferred duplicates precede everything still in `remaining` in
-            // the original sequence, so put them back at the front to keep
-            // per-user ordering.
-            for request in deferred.into_iter().rev() {
-                remaining.push_front(request);
-            }
-
-            update_chunk(self.model, self.store, &chunk, None);
-            self.stats.updates += chunk.len() as u64;
-            self.stats.batches += 1;
-            self.stats.largest_batch = self.stats.largest_batch.max(chunk.len());
-        }
-    }
-}
-
 /// Stage boundaries of one traced batch execution, on the wall clock the
 /// tracer translates to its own epoch. Initialized to the execution start
 /// and advanced by `predict_chunk` / `update_chunk` as stages complete, so
 /// untouched marks yield zero-length (never negative) stage spans.
 #[derive(Debug, Clone, Copy)]
 struct BatchMarks {
-    /// When the worker stopped gathering/coalescing and began executing.
+    /// When the worker finished gathering and began executing.
     exec_start: std::time::Instant,
     /// State fetch + featurization done.
     assembly_done: std::time::Instant,
@@ -324,13 +114,12 @@ fn assemble_states(
     states
 }
 
-/// Serves one chunk of predictions (shared by the scheduler and the
-/// threaded engine); callers account for batching statistics themselves.
-/// The chunk's states and inputs are assembled into one contiguous buffer
-/// each and served by one graph-free forward pass, whatever the chunk's
-/// size — `max_batch = 1` runs the same kernel one row at a time. `marks`
-/// (traced engine batches only) receives the stage boundaries for span
-/// emission.
+/// Serves one chunk of predictions; the caller accounts for batching
+/// statistics. The chunk's states and inputs are assembled into one
+/// contiguous buffer each and served by one graph-free forward pass,
+/// whatever the chunk's size — `max_batch = 1` runs the same kernel one row
+/// at a time. `marks` (traced batches only) receives the stage boundaries
+/// for span emission.
 fn predict_chunk(
     model: &RnnModel,
     store: &ShardedStateStore,
@@ -397,10 +186,7 @@ impl JobKind {
 #[derive(Debug)]
 struct Job {
     kind: JobKind,
-    /// When the job entered the queue. The coalesce flush deadline is
-    /// anchored here — at *arrival* — not at the instant a worker first
-    /// observes the queue, so queue residence while workers are busy counts
-    /// against the coalesce budget instead of being added on top of it.
+    /// When the job entered the queue (the start of its trace spans).
     arrived: std::time::Instant,
     /// Whether this job's user is in the tracer's sampled subset
     /// (decided once, at submission — workers never re-hash).
@@ -438,29 +224,6 @@ struct ShardQueue {
     len: AtomicUsize,
     /// Exclusively held by one worker from drain to state write-back.
     claimed: AtomicBool,
-    /// Last worker to claim this queue — a best-effort hint so an enqueue
-    /// can also wake a coalescing *thief* currently holding the claim
-    /// (whose private signal the home-worker bump would miss). Stale
-    /// values only cost a spurious wakeup.
-    claimant: AtomicUsize,
-}
-
-/// A worker's private wakeup channel: submissions for shards the worker
-/// owns bump `seq` and notify `cv`, so a worker holding a partial batch
-/// open is woken by exactly the arrivals that could join its batch — it can
-/// never consume a wakeup another (idle) worker needed.
-#[derive(Debug, Default)]
-struct WorkerSignal {
-    seq: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl WorkerSignal {
-    fn bump(&self) {
-        let mut seq = self.seq.lock_or_panic("worker signal");
-        *seq += 1;
-        self.cv.notify_all();
-    }
 }
 
 #[derive(Debug, Default)]
@@ -497,13 +260,8 @@ struct EngineShared {
     model: Arc<RnnModel>,
     store: Arc<ShardedStateStore>,
     max_batch: usize,
-    /// How long a worker holds a non-full batch open for more arrivals
-    /// before serving it (`None` = serve whatever is queued immediately).
-    coalesce_wait: Option<std::time::Duration>,
     /// One queue per state-store shard (`queues.len() == store.num_shards()`).
     queues: Vec<ShardQueue>,
-    /// One private wakeup channel per worker.
-    signals: Vec<WorkerSignal>,
     worker_counters: Vec<WorkerCounters>,
     /// Generation counter for idle workers: bumped (under its mutex, with
     /// `idle.notify_all`) whenever work appears or a claimed shard is
@@ -522,11 +280,7 @@ struct EngineShared {
 
 impl EngineShared {
     fn num_workers(&self) -> usize {
-        self.signals.len()
-    }
-
-    fn owner(&self, shard: usize) -> usize {
-        shard % self.num_workers()
+        self.worker_counters.len()
     }
 
     /// Announce new or newly-claimable work to idle workers.
@@ -593,25 +347,6 @@ impl BatchServingEngine {
         workers: usize,
         max_batch: usize,
     ) -> Self {
-        Self::start_with_coalesce(model, store, workers, max_batch, None)
-    }
-
-    /// Starts `workers` worker threads that hold a non-full batch open for
-    /// up to `coalesce_wait` waiting for more arrivals — a max-wait
-    /// deadline: under heavy traffic batches fill immediately, under a
-    /// trickle the partial batch still flushes within the deadline instead
-    /// of serving everything as singletons.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `max_batch` is zero.
-    pub fn start_with_coalesce(
-        model: Arc<RnnModel>,
-        store: Arc<ShardedStateStore>,
-        workers: usize,
-        max_batch: usize,
-        coalesce_wait: Option<std::time::Duration>,
-    ) -> Self {
         assert!(workers > 0, "need at least one worker");
         assert!(max_batch > 0, "max_batch must be positive");
         let num_shards = store.num_shards();
@@ -619,9 +354,7 @@ impl BatchServingEngine {
             model,
             store,
             max_batch,
-            coalesce_wait,
             queues: (0..num_shards).map(|_| ShardQueue::default()).collect(),
-            signals: (0..workers).map(|_| WorkerSignal::default()).collect(),
             worker_counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
             work_gen: Mutex::new(0),
             idle: Condvar::new(),
@@ -641,23 +374,9 @@ impl BatchServingEngine {
         Self { shared, workers }
     }
 
-    /// The number of worker threads.
-    pub fn num_workers(&self) -> usize {
-        self.shared.num_workers()
-    }
-
-    /// The worker that owns `user`'s home shard (and therefore serves the
-    /// user's jobs unless a peer steals the shard while this worker is
-    /// busy).
-    pub fn home_worker(&self, user: UserId) -> usize {
-        self.shared.owner(self.shared.store.shard_index(user))
-    }
-
-    /// Routes jobs to their home-shard queues and wakes workers: every home
-    /// worker gets a targeted signal (so a worker coalescing a partial
-    /// batch learns about joinable arrivals), and the idle generation is
-    /// bumped with `notify_all` (so no idle worker can miss work because a
-    /// busy peer consumed the only wakeup).
+    /// Routes jobs to their home-shard queues and wakes idle workers: the
+    /// generation is bumped with `notify_all`, so no idle worker can miss
+    /// work because a busy peer consumed the only wakeup.
     fn enqueue(&self, jobs: Vec<Job>) {
         if jobs.is_empty() {
             return;
@@ -672,53 +391,19 @@ impl BatchServingEngine {
         crate::obs::ServingObs::global()
             .queue_depth
             .set(depth as f64);
-        let mut notify_workers = vec![false; shared.num_workers()];
         for job in jobs {
-            let shard = shared.store.shard_index(job.kind.user_id());
-            notify_workers[shared.owner(shard)] = true;
-            let queue = &shared.queues[shard];
+            let queue = &shared.queues[shared.store.shard_index(job.kind.user_id())];
             let mut q = queue.jobs.lock_or_panic("shard queue");
             q.push_back(job);
             queue.len.store(q.len(), Ordering::Release);
-            drop(q);
-            // If a (possibly stealing) worker holds this shard's claim
-            // mid-coalesce, wake it too — the home worker can't drain a
-            // claimed queue on its behalf.
-            if queue.claimed.load(Ordering::Acquire) {
-                // Acquire pairs with the claimant Release store in gather:
-                // Relaxed here could read a stale claimant and wake the
-                // wrong worker, leaving the real claimant parked until its
-                // coalescing-window timeout (a tail-latency spike, not a
-                // hang — but the window is the latency budget).
-                let claimant = queue.claimant.load(Ordering::Acquire);
-                if claimant < notify_workers.len() {
-                    notify_workers[claimant] = true;
-                }
-            }
         }
         shared.bump_work_gen();
-        for (worker, notify) in notify_workers.into_iter().enumerate() {
-            if notify {
-                shared.signals[worker].bump();
-            }
-        }
     }
 
-    /// Submits a request; the returned receiver yields the prediction once a
-    /// worker has served its batch.
-    pub fn submit(&self, request: PredictRequest) -> mpsc::Receiver<Prediction> {
-        let (reply, receiver) = mpsc::channel();
-        self.enqueue(vec![Job::new(
-            JobKind::Predict { request, reply },
-            std::time::Instant::now(),
-        )]);
-        receiver
-    }
-
-    /// Submits a burst of requests in one enqueue pass — the natural entry
-    /// point for front-ends that already hold several concurrent session
-    /// starts, and what lets workers coalesce full batches instead of
-    /// draining a trickle.
+    /// Submits requests in one enqueue pass; each returned receiver yields
+    /// its prediction once a worker has served its batch. Submitting a
+    /// burst of concurrent session starts at once is what lets workers
+    /// coalesce full batches instead of draining a trickle.
     pub fn submit_many(&self, requests: &[PredictRequest]) -> Vec<mpsc::Receiver<Prediction>> {
         let arrived = std::time::Instant::now();
         let mut receivers = Vec::with_capacity(requests.len());
@@ -732,19 +417,6 @@ impl BatchServingEngine {
             .collect();
         self.enqueue(jobs);
         receivers
-    }
-
-    /// Submits a session-close hidden-state update; the returned receiver
-    /// yields `()` once the state has been advanced and re-stored. Updates
-    /// and predictions for the same user are applied in submission order
-    /// (they share the user's home-shard queue).
-    pub fn submit_update(&self, request: UpdateRequest) -> mpsc::Receiver<()> {
-        let (reply, receiver) = mpsc::channel();
-        self.enqueue(vec![Job::new(
-            JobKind::Update { request, reply },
-            std::time::Instant::now(),
-        )]);
-        receiver
     }
 
     /// Submits a burst of updates in one enqueue pass.
@@ -771,13 +443,6 @@ impl BatchServingEngine {
                 .recv()
                 .expect("engine worker dropped the update reply channel");
         }
-    }
-
-    /// Submits a request and blocks for the prediction.
-    pub fn predict_blocking(&self, request: PredictRequest) -> Prediction {
-        self.submit(request)
-            .recv()
-            .expect("engine worker dropped the reply channel")
     }
 
     /// Submits a burst of requests in one queue lock and blocks until every
@@ -828,9 +493,6 @@ impl Drop for BatchServingEngine {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.bump_work_gen();
-        for signal in &self.shared.signals {
-            signal.bump();
-        }
         // Workers drain every queued job before exiting, so in-flight
         // receivers still get their replies.
         for worker in self.workers.drain(..) {
@@ -841,7 +503,7 @@ impl Drop for BatchServingEngine {
 
 /// Advances and re-stores one chunk of session-close updates; callers
 /// guarantee the chunk holds each user at most once. `marks` (traced
-/// engine batches only) receives the stage boundaries for span emission.
+/// batches only) receives the stage boundaries for span emission.
 fn update_chunk(
     model: &RnnModel,
     store: &ShardedStateStore,
@@ -883,8 +545,8 @@ fn update_chunk(
     }
 }
 
-/// A batch under assembly: homogeneous-kind jobs plus the shard claims that
-/// stay held until the batch's state reads and write-backs complete.
+/// A gathered batch: homogeneous-kind jobs plus the shard claims that stay
+/// held until the batch's state reads and write-backs complete.
 struct GatheredBatch {
     jobs: Vec<Job>,
     claimed_shards: Vec<usize>,
@@ -893,15 +555,16 @@ struct GatheredBatch {
 
 /// Scans shard queues — the worker's own shards first, then everyone
 /// else's (work stealing) — claiming each non-empty unclaimed queue and
-/// draining a FIFO prefix into `batch`. A queue's prefix stops at a
+/// draining a FIFO prefix into one batch. A queue's prefix stops at a
 /// kind change or (for updates) a user already in the batch, so per-user
 /// ordering and same-user-once-per-update-batch both hold.
-fn gather(
-    shared: &EngineShared,
-    worker: usize,
-    batch: &mut GatheredBatch,
-    seen_users: &mut HashSet<UserId>,
-) {
+fn gather(shared: &EngineShared, worker: usize) -> GatheredBatch {
+    let mut batch = GatheredBatch {
+        jobs: Vec::new(),
+        claimed_shards: Vec::new(),
+        stole: false,
+    };
+    let mut seen_users = HashSet::new();
     let num_shards = shared.queues.len();
     let workers = shared.num_workers();
     let own = (worker..num_shards).step_by(workers);
@@ -911,27 +574,18 @@ fn gather(
             break;
         }
         let queue = &shared.queues[shard];
-        let already_claimed = batch.claimed_shards.contains(&shard);
-        if !already_claimed {
-            if queue.len.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            // Acquire on failure too: the loser reads the queue state the
-            // winner's claim protects (len, claimant) right after this —
-            // a Relaxed failure load would let those reads be satisfied
-            // from before the winner's Release.
-            if queue
-                .claimed
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // Release pairs with the Acquire claimant load in enqueue: a
-            // Relaxed store could be observed after `claimed` itself, so
-            // the enqueuer would target whichever worker claimed this
-            // shard *last* cycle and skip waking the current claimant.
-            queue.claimant.store(worker, Ordering::Release);
+        if queue.len.load(Ordering::Acquire) == 0 {
+            continue;
+        }
+        // Acquire pairs with the Release that frees a claim after its
+        // holder's write-backs, so this batch reads the states that batch
+        // wrote.
+        if queue
+            .claimed
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
+            .is_err()
+        {
+            continue;
         }
         let mut drained = 0usize;
         {
@@ -962,9 +616,6 @@ fn gather(
             }
             queue.len.store(q.len(), Ordering::Release);
         }
-        if already_claimed {
-            continue;
-        }
         if drained == 0 {
             queue.claimed.store(false, Ordering::Release);
         } else {
@@ -974,6 +625,7 @@ fn gather(
             }
         }
     }
+    batch
 }
 
 fn worker_loop(shared: &EngineShared, worker: usize) {
@@ -984,13 +636,7 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
         // with the scan moves the generation, so the park below falls
         // through instead of sleeping on work it never saw.
         let gen_before = *shared.work_gen.lock_or_panic("work generation");
-        let mut batch = GatheredBatch {
-            jobs: Vec::new(),
-            claimed_shards: Vec::new(),
-            stole: false,
-        };
-        let mut seen_users = HashSet::new();
-        gather(shared, worker, &mut batch, &mut seen_users);
+        let batch = gather(shared, worker);
 
         if batch.jobs.is_empty() {
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -1006,52 +652,6 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             counters.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
             obs.worker_idle_ns.add(idle_ns);
             continue;
-        }
-
-        // Coalesce: hold a non-full batch open for stragglers, with the
-        // flush deadline anchored at the *oldest job's arrival* — queue
-        // residence while workers were busy counts against the budget, so
-        // no job waits more than `coalesce_wait` past its arrival here.
-        if let Some(wait) = shared.coalesce_wait {
-            if batch.jobs.len() < shared.max_batch && !shared.shutdown.load(Ordering::SeqCst) {
-                let held = pp_obs::Stopwatch::start();
-                let oldest = batch
-                    .jobs
-                    .iter()
-                    .map(|j| j.arrived)
-                    .min()
-                    .expect("non-empty batch");
-                let deadline = oldest + wait;
-                let signal = &shared.signals[worker];
-                while batch.jobs.len() < shared.max_batch && !shared.shutdown.load(Ordering::SeqCst)
-                {
-                    let now = std::time::Instant::now();
-                    let Some(remaining) = deadline.checked_duration_since(now) else {
-                        break;
-                    };
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    // Read the private signal sequence before re-gathering:
-                    // an arrival after the read bumps the sequence and skips
-                    // the wait; an arrival before it is picked up by the
-                    // gather. Either way nothing is lost.
-                    let seq_before = *signal.seq.lock_or_panic("worker signal");
-                    gather(shared, worker, &mut batch, &mut seen_users);
-                    if batch.jobs.len() >= shared.max_batch {
-                        break;
-                    }
-                    let seq = signal.seq.lock_or_panic("worker signal");
-                    if *seq == seq_before {
-                        let _ = signal
-                            .cv
-                            .wait_timeout(seq, remaining)
-                            .expect("coalesce wait");
-                    }
-                }
-                gather(shared, worker, &mut batch, &mut seen_users);
-                held.record(&obs.coalesce_wait_ns);
-            }
         }
 
         let size = batch.jobs.len();
@@ -1243,91 +843,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scheduler_matches_single_request_path() {
-        let m = model();
-        let store = ShardedStateStore::new(4);
-        // Give some users warm states.
-        for id in 0..10u64 {
-            let mut h = m.initial_state();
-            for step in 0..id {
-                let ctx = Context::MobileTab {
-                    unread_count: 1,
-                    active_tab: Tab::Home,
-                };
-                h = m.advance_state(
-                    &h,
-                    &m.featurizer().update_input(step as i64, &ctx, 60, true),
-                );
-            }
-            store.put_state(UserId(id), &h);
+    fn update(id: u64, i: i64) -> UpdateRequest {
+        UpdateRequest {
+            user_id: UserId(id),
+            timestamp: 20_000 + i * 41,
+            context: Context::MobileTab {
+                unread_count: (i % 7) as u8,
+                active_tab: Tab::ALL[(i % Tab::ALL.len() as i64) as usize],
+            },
+            delta_t_secs: 600 + i,
+            accessed: i % 2 == 0,
         }
-        let requests: Vec<PredictRequest> = (0..25).map(|i| request(i as u64 % 13, i)).collect();
-
-        let mut batched = BatchScheduler::new(&m, &store, 8);
-        let results = batched.run(requests.iter().copied());
-
-        assert_eq!(results.len(), requests.len());
-        for (request, result) in requests.iter().zip(&results) {
-            assert_eq!(request.user_id, result.user_id);
-            let state = store
-                .get_state(request.user_id)
-                .unwrap_or_else(|| m.initial_state());
-            let input = m.featurizer().predict_input(
-                request.timestamp,
-                &request.context,
-                request.elapsed_secs,
-            );
-            let single = m.predict_proba(&state, &input);
-            assert!(
-                (result.probability - single).abs() < 1e-6,
-                "user {}: batched {} vs single {}",
-                request.user_id,
-                result.probability,
-                single
-            );
-        }
-        let stats = batched.stats();
-        assert_eq!(stats.predictions, 25);
-        assert_eq!(stats.largest_batch, 8);
-        // 25 requests at max_batch 8 -> 4 forward passes, not 25.
-        assert_eq!(stats.batches, 4);
-    }
-
-    #[test]
-    fn updates_for_the_same_user_apply_in_order() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let ctx = Context::MobileTab {
-            unread_count: 2,
-            active_tab: Tab::Home,
-        };
-        let updates: Vec<UpdateRequest> = (0..6)
-            .map(|i| UpdateRequest {
-                user_id: UserId(5),
-                timestamp: 1_000 * i,
-                context: ctx,
-                delta_t_secs: 600,
-                accessed: i % 2 == 0,
-            })
-            .collect();
-        let mut scheduler = BatchScheduler::new(&m, &store, 4);
-        scheduler.apply_updates(&updates);
-
-        // Sequential reference.
-        let mut h = m.initial_state();
-        for u in &updates {
-            h = m.advance_state(
-                &h,
-                &m.featurizer()
-                    .update_input(u.timestamp, &u.context, u.delta_t_secs, u.accessed),
-            );
-        }
-        let stored = store.get_state(UserId(5)).unwrap();
-        for (a, b) in stored.iter().zip(&h) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        assert_eq!(scheduler.stats().updates, 6);
     }
 
     #[test]
@@ -1339,7 +865,7 @@ mod tests {
         let receivers: Vec<(PredictRequest, mpsc::Receiver<Prediction>)> = (0..64)
             .map(|i| {
                 let r = request(i as u64 % 7, i);
-                let receiver = engine.submit(r);
+                let receiver = engine.submit_many(&[r]).remove(0);
                 (r, receiver)
             })
             .collect();
@@ -1391,295 +917,42 @@ mod tests {
         assert!(stats.largest_batch > 1);
     }
 
+    /// One worker blocks while it holds a shard claim; its idle peer must
+    /// still serve every job on the other shards, its own and the blocked
+    /// worker's alike, instead of leaving them to the blocked owner.
     #[test]
-    fn flush_due_serves_full_batches_and_honors_deadline() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 4, 30);
-        assert_eq!(scheduler.max_wait_secs(), Some(30));
-
-        // 6 requests submitted at t=100: one full batch is due immediately,
-        // the partial remainder is not.
-        for i in 0..6 {
-            scheduler.submit_at(request(i as u64, i), 100);
-        }
-        let served = scheduler.flush_due(100);
-        assert_eq!(served.len(), 4);
-        assert_eq!(scheduler.pending(), 2);
-
-        // Before the deadline nothing more flushes…
-        assert!(scheduler.flush_due(129).is_empty());
-        assert_eq!(scheduler.pending(), 2);
-        // …at the deadline the partial batch goes out.
-        let late = scheduler.flush_due(130);
-        assert_eq!(late.len(), 2);
-        assert_eq!(scheduler.pending(), 0);
-        let stats = scheduler.stats();
-        assert_eq!(stats.predictions, 6);
-        assert_eq!(stats.batches, 2);
-    }
-
-    #[test]
-    fn flush_due_without_deadline_keeps_partial_batches_queued() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::new(&m, &store, 4);
-        for i in 0..3 {
-            scheduler.submit_at(request(i as u64, i), 0);
-        }
-        assert!(scheduler.flush_due(i64::MAX).is_empty());
-        assert_eq!(scheduler.pending(), 3);
-        // An untimed submit is always due once a deadline exists.
-        let mut timed = BatchScheduler::with_max_wait(&m, &store, 4, 1_000);
-        timed.submit(request(9, 9));
-        assert_eq!(timed.flush_due(0).len(), 1);
-        // …even when queued behind a fresher timed request.
-        timed.submit_at(request(1, 1), 100);
-        timed.submit(request(2, 2));
-        assert_eq!(timed.flush_due(150).len(), 2);
-        assert_eq!(timed.pending(), 0);
-    }
-
-    #[test]
-    fn flush_due_flushes_exactly_at_the_deadline_tick() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        // A request submitted at t with max_wait w has deadline t + w and
-        // must flush when now == t + w — not one tick later.
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 8, 25);
-        scheduler.submit_at(request(1, 1), 1_000);
-        assert!(scheduler.flush_due(1_024).is_empty());
-        assert_eq!(
-            scheduler.flush_due(1_025).len(),
-            1,
-            "now == deadline must flush"
-        );
-        assert_eq!(scheduler.pending(), 0);
-        // max_wait = 0: due on the very tick it was submitted.
-        let mut immediate = BatchScheduler::with_max_wait(&m, &store, 8, 0);
-        immediate.submit_at(request(2, 2), 500);
-        assert_eq!(immediate.flush_due(500).len(), 1);
-    }
-
-    #[test]
-    fn flushed_partial_batches_preserve_submission_order() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 4, 10);
-        // Six requests with deliberately non-monotone submission stamps:
-        // one full batch plus a deadline-triggered partial remainder.
-        let ids = [30u64, 10, 20, 5, 40, 15];
-        let stamps = [300i64, 100, 200, 50, 400, 150];
-        for (&id, &stamp) in ids.iter().zip(&stamps) {
-            scheduler.submit_at(request(id, id as i64), stamp);
-        }
-        // The partial remainder (stamps 400, 150) has oldest stamp 150,
-        // so its deadline 160 has passed at now = 170 and everything is
-        // due. Results must come back in *submission* order, not stamp
-        // order.
-        let served = scheduler.flush_due(170);
-        assert_eq!(served.len(), 6);
-        let served_ids: Vec<u64> = served.iter().map(|p| p.user_id.0).collect();
-        assert_eq!(served_ids, ids.to_vec());
-        // Same property when only the full batch is due: the first four in
-        // submission order go out, the rest stay queued in order.
-        let mut partial = BatchScheduler::with_max_wait(&m, &store, 4, 1_000);
-        for (&id, &stamp) in ids.iter().zip(&stamps) {
-            partial.submit_at(request(id, id as i64), stamp);
-        }
-        let first = partial.flush_due(500);
-        assert_eq!(
-            first.iter().map(|p| p.user_id.0).collect::<Vec<_>>(),
-            ids[..4].to_vec()
-        );
-        assert_eq!(partial.pending(), 2);
-        let rest = partial.flush_due(2_000);
-        assert_eq!(
-            rest.iter().map(|p| p.user_id.0).collect::<Vec<_>>(),
-            ids[4..].to_vec()
-        );
-    }
-
-    #[test]
-    fn deadline_flush_matches_single_request_path() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::with_max_wait(&m, &store, 8, 10);
-        let requests: Vec<PredictRequest> = (0..3).map(|i| request(i as u64, i)).collect();
-        for r in &requests {
-            scheduler.submit_at(*r, 50);
-        }
-        let served = scheduler.flush_due(60);
-        assert_eq!(served.len(), 3);
-        for (request, prediction) in requests.iter().zip(&served) {
-            let state = store
-                .get_state(request.user_id)
-                .unwrap_or_else(|| m.initial_state());
-            let input = m.featurizer().predict_input(
-                request.timestamp,
-                &request.context,
-                request.elapsed_secs,
-            );
-            assert!((prediction.probability - m.predict_proba(&state, &input)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn coalescing_engine_serves_low_traffic_within_deadline() {
-        let m = Arc::new(model());
+    fn an_idle_worker_serves_work_while_its_peer_is_blocked() {
+        use std::time::{Duration, Instant};
         let store = Arc::new(ShardedStateStore::new(4));
-        let engine = BatchServingEngine::start_with_coalesce(
-            m.clone(),
-            store.clone(),
-            1,
-            64,
-            Some(std::time::Duration::from_millis(10)),
-        );
-        // A lone request must not wait forever for 63 peers.
-        let prediction = engine.predict_blocking(request(1, 1));
-        assert_eq!(prediction.user_id, UserId(1));
-        assert_eq!(engine.stats().predictions, 1);
-    }
-
-    #[test]
-    fn coalescing_engine_batches_a_trickle() {
-        let m = Arc::new(model());
-        let store = Arc::new(ShardedStateStore::new(4));
-        let engine = BatchServingEngine::start_with_coalesce(
-            m.clone(),
-            store.clone(),
-            1,
-            8,
-            Some(std::time::Duration::from_millis(200)),
-        );
-        // Submit one-by-one (the worst case for the immediate-drain engine);
-        // the coalescing worker holds the batch open and serves them together.
-        let receivers: Vec<_> = (0..8)
-            .map(|i| engine.submit(request(i as u64, i)))
-            .collect();
-        for receiver in receivers {
-            receiver.recv().unwrap();
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.predictions, 8);
-        assert!(
-            stats.largest_batch >= 2,
-            "coalesce window should batch a trickle (largest {})",
-            stats.largest_batch
-        );
-    }
-
-    fn update(id: u64, i: i64) -> UpdateRequest {
-        UpdateRequest {
-            user_id: UserId(id),
-            timestamp: 20_000 + i * 41,
-            context: Context::MobileTab {
-                unread_count: (i % 7) as u8,
-                active_tab: Tab::ALL[(i % Tab::ALL.len() as i64) as usize],
-            },
-            delta_t_secs: 600 + i,
-            accessed: i % 2 == 0,
-        }
-    }
-
-    #[test]
-    fn coalesce_deadline_is_anchored_at_job_arrival_not_observation() {
-        // Regression: the flush deadline used to be re-armed at the instant
-        // a worker first *observed* the queue, so a job that sat queued
-        // while the worker was occupied waited its queue residence PLUS a
-        // full coalesce window (worst case ~2x the configured wait). The
-        // deadline is now anchored at the oldest job's arrival.
-        let m = Arc::new(model());
-        let store = Arc::new(ShardedStateStore::new(4));
-        let wait = std::time::Duration::from_millis(500);
-        let engine = BatchServingEngine::start_with_coalesce(m, store, 1, 8, Some(wait));
-        // Occupy the lone worker with a partial *predict* batch whose
-        // coalesce window runs until t = 500ms.
-        let predict = engine.submit(request(1, 1));
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        // t = 100ms: an *update* arrives. Batches are kind-homogeneous, so
-        // it cannot join the held predict batch; the worker only picks it
-        // up when that batch flushes at t = 500ms — after 400ms of queue
-        // residence that must count against the update's own deadline.
-        let submitted = std::time::Instant::now();
-        let receiver = engine.submit_update(update(2, 2));
-        receiver.recv().unwrap();
-        let waited = submitted.elapsed();
-        // Arrival-anchored: served ~500ms after arrival. The old
-        // observation-anchored deadline re-armed the full window at
-        // t = 500ms and served at ~1s (a ~900ms wait).
-        assert!(
-            waited < std::time::Duration::from_millis(750),
-            "update waited {waited:?}; coalesce deadline must anchor at arrival, not observation"
-        );
-        predict.recv().unwrap();
-    }
-
-    #[test]
-    fn separate_submits_are_not_stranded_by_a_peer_coalescing_a_partial_batch() {
-        // Regression: the old single-queue engine woke workers with
-        // `notify_one`, so a submission's wakeup could be consumed by a
-        // worker parked mid-coalesce over a partial batch while an idle
-        // peer — which could have served the job immediately — kept
-        // sleeping, stranding the job for the full coalesce window. Jobs
-        // now land in per-shard queues, idle workers park on a generation
-        // counter bumped with `notify_all`, and coalescing workers listen
-        // on private signals.
-        let m = Arc::new(model());
-        let store = Arc::new(ShardedStateStore::new(4));
-        let wait = std::time::Duration::from_secs(2);
-        let engine = BatchServingEngine::start_with_coalesce(m, store.clone(), 2, 2, Some(wait));
-        let lone = UserId(0);
-
-        // Some worker claims the lone user's shard and holds its partial
-        // batch open until t = 2s. Wait for the claim rather than sleeping:
-        // which worker wins it depends on scheduling.
-        let j1 = engine.submit(request(lone.0, 1));
-        let lone_queue = &engine.shared.queues[store.shard_index(lone)];
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while lone_queue.len.load(Ordering::Acquire) > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "lone job never claimed"
-            );
+        let engine = BatchServingEngine::start(Arc::new(model()), store.clone(), 2, 4);
+        let blocked = &engine.shared.queues[0];
+        // Shard 0 looks non-empty, so a worker claims it and then blocks on
+        // the queue lock this test holds.
+        let stall = blocked.jobs.lock_or_panic("test stall");
+        blocked.len.store(1, Ordering::Release);
+        engine.shared.bump_work_gen();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !blocked.claimed.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "no worker claimed shard 0");
             std::thread::yield_now();
         }
-        // The drain's `len` store (Release) follows the claimant store.
-        let coalescer = lone_queue.claimant.load(Ordering::Acquire);
-        let peer = 1 - coalescer;
-        // Two distinct users sharing a single shard homed on the *other*
-        // worker (same shard ⇒ whichever worker claims the shard sees both
-        // jobs, keeping the test deterministic under stealing). Were they
-        // homed on the coalescer, or in the shard it holds, it would absorb
-        // the first into its own batch and leave the second to coalesce
-        // alone.
-        let second = (0..256)
+        let users = (0..)
             .map(UserId)
-            .find(|&u| {
-                engine.home_worker(u) == peer && store.shard_index(u) != store.shard_index(lone)
-            })
-            .expect("a user homed on the peer exists");
-        let third = (0..256)
-            .map(UserId)
-            .find(|&u| u != second && store.shard_index(u) == store.shard_index(second))
-            .expect("a second user in the same shard exists");
-
-        // Two *separate* submits (two wakeup events — the pattern that
-        // lost a wakeup in the old engine). They fill a max_batch = 2
-        // batch and must be served immediately, long before any coalesce
-        // window expires.
-        let started = std::time::Instant::now();
-        let j2 = engine.submit(request(second.0, 2));
-        let j3 = engine.submit(request(third.0, 3));
-        j2.recv_timeout(std::time::Duration::from_millis(900))
-            .expect("second job stranded behind a peer's coalesce window");
-        j3.recv_timeout(std::time::Duration::from_millis(900))
-            .expect("third job stranded behind a peer's coalesce window");
-        assert!(started.elapsed() < std::time::Duration::from_millis(1000));
-        // The lone partial batch still flushes at its own (arrival-
-        // anchored) deadline.
-        j1.recv_timeout(std::time::Duration::from_secs(4))
-            .expect("lone job must flush at its coalesce deadline");
+            .filter(|&u| store.shard_index(u) != 0)
+            .take(8);
+        for (i, user) in users.enumerate() {
+            let reply = engine.submit_many(&[request(user.0, i as i64)]).remove(0);
+            let prediction = reply
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "job on shard {} stranded behind the blocked worker: {e}",
+                        store.shard_index(user)
+                    )
+                });
+            assert_eq!(prediction.user_id, user);
+        }
+        drop(stall);
     }
 
     #[test]
@@ -1724,12 +997,11 @@ mod tests {
 
     #[test]
     fn max_batch_one_is_the_single_request_baseline() {
-        let m = model();
-        let store = ShardedStateStore::new(2);
-        let mut scheduler = BatchScheduler::new(&m, &store, 1);
-        let results = scheduler.run((0..5).map(|i| request(i as u64, i)));
-        assert_eq!(results.len(), 5);
-        let stats = scheduler.stats();
+        let store = Arc::new(ShardedStateStore::new(2));
+        let engine = BatchServingEngine::start(Arc::new(model()), store, 1, 1);
+        let requests: Vec<PredictRequest> = (0..5).map(|i| request(i as u64, i)).collect();
+        assert_eq!(engine.predict_many_blocking(&requests).len(), 5);
+        let stats = engine.stats();
         assert_eq!(stats.batches, 5);
         assert_eq!(stats.largest_batch, 1);
         assert!((stats.mean_batch_size() - 1.0).abs() < 1e-12);

@@ -20,9 +20,9 @@
 //! * [`sharded`] — the throughput-oriented [`ShardedStateStore`]: N
 //!   independent hidden-state shards keyed by user-id hash, serving
 //!   concurrently;
-//! * [`batch`] — the [`BatchScheduler`] and multi-threaded
-//!   [`BatchServingEngine`] coalescing concurrent session starts into
-//!   batched forward passes (one matmul per batch instead of per user);
+//! * [`batch`] — the multi-threaded [`BatchServingEngine`] coalescing
+//!   concurrent session starts into batched forward passes (one matmul per
+//!   batch instead of per user);
 //! * [`obs`] — cached `pp-obs` handles instrumenting the batch queue, the
 //!   per-stage serving latencies, and the hidden-state store traffic
 //!   (compiled to no-ops without the `obs` feature).
@@ -39,8 +39,7 @@ pub mod pipeline;
 pub mod sharded;
 
 pub use batch::{
-    BatchScheduler, BatchServingEngine, EngineStats, PredictRequest, Prediction, SchedulerStats,
-    UpdateRequest, WorkerStats,
+    BatchServingEngine, EngineStats, PredictRequest, Prediction, UpdateRequest, WorkerStats,
 };
 pub use cost::{
     baseline_profile, compare, rnn_profile, CostComparison, CostWeights, ServingProfile,

@@ -13,9 +13,6 @@ use std::sync::{Arc, OnceLock};
 pub struct ServingObs {
     /// `serving.queue_depth` — jobs waiting in the batch engine's queue.
     pub queue_depth: Arc<Gauge>,
-    /// `serving.coalesce_wait_ns` — how long a worker held a non-full
-    /// batch open before serving it.
-    pub coalesce_wait_ns: Arc<Histogram>,
     /// `serving.batch_size` — requests per served batch.
     pub batch_size: Arc<Histogram>,
     /// `serving.batch_assembly_ns` — state fetch + featurization per batch.
@@ -47,7 +44,6 @@ impl ServingObs {
     pub fn register(registry: &MetricsRegistry) -> Self {
         Self {
             queue_depth: registry.gauge("serving.queue_depth"),
-            coalesce_wait_ns: registry.histogram("serving.coalesce_wait_ns"),
             batch_size: registry.histogram("serving.batch_size"),
             batch_assembly_ns: registry.histogram("serving.batch_assembly_ns"),
             forward_pass_ns: registry.histogram("serving.forward_pass_ns"),

@@ -13,7 +13,7 @@
 //! (successful/wasted prefetches) and systems counters (store traffic,
 //! FLOPs).
 
-use crate::kv_store::{decode_state_f32, encode_state_f32, KvStore};
+use crate::sharded::ShardedStateStore;
 use pp_data::schema::{Dataset, UserId};
 use pp_rnn::sequence::LagConfig;
 use pp_rnn::RnnModel;
@@ -79,7 +79,7 @@ struct BufferedSession {
 #[derive(Debug)]
 pub struct ServingPipeline<'a> {
     model: &'a RnnModel,
-    store: KvStore,
+    store: ShardedStateStore,
     lag: LagConfig,
     threshold: f64,
     /// Stream-join buffer: timer fire time → sessions whose window closes
@@ -101,7 +101,7 @@ impl<'a> ServingPipeline<'a> {
         let lag = LagConfig::for_kind(model.kind());
         Self {
             model,
-            store: KvStore::new(),
+            store: ShardedStateStore::new(1),
             lag,
             threshold,
             timers: BTreeMap::new(),
@@ -117,7 +117,7 @@ impl<'a> ServingPipeline<'a> {
     }
 
     /// The hidden-state store (for inspecting traffic counters).
-    pub fn store(&self) -> &KvStore {
+    pub fn store(&self) -> &ShardedStateStore {
         &self.store
     }
 
@@ -134,7 +134,7 @@ impl<'a> ServingPipeline<'a> {
     fn fire_timers_up_to(&mut self, now: i64) {
         // Timers strictly before `now` have fired: the session window closed
         // and the stream processor joined context + access flag.
-        let due: Vec<i64> = self.timers.range(..=now).map(|(&t, _)| t).collect();
+        let due: Vec<i64> = self.timers.range(..now).map(|(&t, _)| t).collect();
         for t in due {
             let sessions = self.timers.remove(&t).unwrap_or_default();
             for s in sessions {
@@ -144,11 +144,10 @@ impl<'a> ServingPipeline<'a> {
     }
 
     fn apply_update(&mut self, buffered: &BufferedSession) {
-        let key = format!("hidden/{}", buffered.user_id);
         let prev_state = self
             .store
-            .get(&key)
-            .map_or_else(|| self.model.initial_state(), |b| decode_state_f32(&b));
+            .get_state(buffered.user_id)
+            .unwrap_or_else(|| self.model.initial_state());
         let prev_ts = self.last_update_ts.get(&buffered.user_id).copied();
         let delta_t = prev_ts.map_or(0, |t| (buffered.start_ts - t).max(0));
         // The update input needs the original context; we fetch it lazily via
@@ -161,7 +160,7 @@ impl<'a> ServingPipeline<'a> {
             buffered.accessed,
         );
         let next = self.model.advance_state(&prev_state, &update_input);
-        self.store.put(key, encode_state_f32(&next));
+        self.store.put_state(buffered.user_id, &next);
         self.last_update_ts
             .insert(buffered.user_id, buffered.start_ts);
         self.outcome.hidden_updates += 1;
@@ -189,17 +188,18 @@ impl<'a> ServingPipeline<'a> {
             .collect();
 
         for (ts, ui, si) in events {
-            // 1. Close any session windows that have elapsed.
-            self.fire_timers_up_to(ts - self.lag.delta());
+            // 1. Close any session windows that have elapsed: session k's
+            //    timer fires at t_k + δ, so a prediction at `ts` reads every
+            //    session with t_k < ts − δ, as the training plan does.
+            self.fire_timers_up_to(ts);
             let session = &dataset.users[ui].sessions[si];
             let user_id = dataset.users[ui].user_id;
 
             // 2. Serve the prediction from the stored hidden state.
-            let key = format!("hidden/{user_id}");
             let state = self
                 .store
-                .get(&key)
-                .map_or_else(|| self.model.initial_state(), |b| decode_state_f32(&b));
+                .get_state(user_id)
+                .unwrap_or_else(|| self.model.initial_state());
             let last_ts = self.last_update_ts.get(&user_id).copied();
             let elapsed = last_ts.map_or(0, |t| (ts - t).max(0));
             let predict_input =
@@ -249,7 +249,7 @@ mod tests {
     use super::*;
     use pp_data::schema::DatasetKind;
     use pp_data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
-    use pp_rnn::{RnnModelConfig, TaskKind};
+    use pp_rnn::{RnnModelConfig, RnnTrainer, TaskKind, TrainerConfig};
 
     fn dataset() -> Dataset {
         MobileTabGenerator::new(MobileTabConfig {
@@ -322,6 +322,38 @@ mod tests {
             pipeline.store().stored_bytes(),
             (pipeline.store().len() * m.state_bytes()) as u64
         );
+    }
+
+    #[test]
+    fn replay_applies_the_update_lag_of_the_training_plan() {
+        // Training lets a prediction at t_i read session k's update when
+        // t_k < t_i − δ; serving must fold in exactly the same sessions, so
+        // at any threshold it precomputes what offline evaluation predicts.
+        let ds = MobileTabGenerator::new(MobileTabConfig {
+            num_users: 20,
+            num_days: 6,
+            ..Default::default()
+        })
+        .generate();
+        let m = model();
+        let idx: Vec<usize> = (0..ds.users.len()).collect();
+        let scored = RnnTrainer::new(TrainerConfig::default()).evaluate(&m, &ds, &idx, None);
+        let mut scores: Vec<f64> = scored.iter().map(|p| p.score).collect();
+        scores.sort_by(f64::total_cmp);
+        for percentile in [25, 50, 75] {
+            let threshold = scores[scores.len() * percentile / 100];
+            let precomputed = scored.iter().filter(|p| p.score >= threshold);
+            let expected = (
+                precomputed.clone().count() as u64,
+                precomputed.filter(|p| p.label).count() as u64,
+            );
+            let outcome = ServingPipeline::new(&m, threshold).replay(&ds, &idx);
+            assert_eq!(
+                (outcome.precomputes, outcome.successful_prefetches),
+                expected,
+                "threshold at the {percentile}th score percentile"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! `KvStore` with interior mutability — so requests for different users
 //! proceed concurrently and only same-shard writers contend.
 //!
-//! The store keeps the same `hidden/<user-id>` key format and f32
-//! encoding as the single-store pipeline, so the per-shard traffic
-//! counters stay comparable with the §9 cost model.
+//! States are stored under `hidden/<user-id>` keys in f32 encoding, so the
+//! per-shard traffic counters stay comparable with the §9 cost model.
 
 use crate::kv_store::{
     append_decoded_state_f32, decode_state_f32, encode_state_f32, EvictionPolicy, KvStore,

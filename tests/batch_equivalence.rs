@@ -1,15 +1,16 @@
 //! Proof that the batched serving path is a pure optimization: replaying
-//! the same users and the same session sequences through the batched
-//! scheduler and through the single-request path yields identical
+//! the same users and the same session sequences through the batch serving
+//! engine and through the single-request path yields identical
 //! probabilities (within 1e-6) and identical hidden states.
 
 use predictive_precompute::data::schema::{DatasetKind, UserId};
 use predictive_precompute::data::synth::{MobileTabConfig, MobileTabGenerator, SyntheticGenerator};
 use predictive_precompute::rnn::{RnnModel, RnnModelConfig, TaskKind};
 use predictive_precompute::serving::{
-    BatchScheduler, PredictRequest, ShardedStateStore, UpdateRequest,
+    BatchServingEngine, PredictRequest, ShardedStateStore, UpdateRequest,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[test]
 fn batched_replay_matches_single_request_replay() {
@@ -19,12 +20,12 @@ fn batched_replay_matches_single_request_replay() {
         ..Default::default()
     })
     .generate();
-    let model = RnnModel::new(
+    let model = Arc::new(RnnModel::new(
         DatasetKind::MobileTab,
         TaskKind::PerSession,
         RnnModelConfig::tiny(),
         21,
-    );
+    ));
 
     // Global timestamp order, as the serving pipeline replays traffic.
     let mut events: Vec<(i64, usize, usize)> = Vec::new();
@@ -41,10 +42,10 @@ fn batched_replay_matches_single_request_replay() {
     let mut single_last_ts: HashMap<UserId, i64> = HashMap::new();
     let mut single_probs: Vec<f64> = Vec::new();
 
-    // Batched path: sharded store + scheduler, flushed one wave per day so
-    // every wave holds many concurrent session starts.
-    let store = ShardedStateStore::new(8);
-    let mut scheduler = BatchScheduler::new(&model, &store, 16);
+    // Batched path: sharded store + engine, fed one wave per day so every
+    // wave holds many concurrent session starts.
+    let store = Arc::new(ShardedStateStore::new(8));
+    let engine = BatchServingEngine::start(model.clone(), store.clone(), 2, 16);
     let mut batched_probs: Vec<f64> = Vec::new();
     let mut batched_last_ts: HashMap<UserId, i64> = HashMap::new();
 
@@ -88,7 +89,12 @@ fn batched_replay_matches_single_request_replay() {
                 }
             })
             .collect();
-        batched_probs.extend(scheduler.run(wave).into_iter().map(|p| p.probability));
+        batched_probs.extend(
+            engine
+                .predict_many_blocking(&wave)
+                .into_iter()
+                .map(|p| p.probability),
+        );
 
         // --- end of day: both paths fold the day's outcomes into states ---
         for &(ts, ui, si) in day_events {
@@ -122,7 +128,7 @@ fn batched_replay_matches_single_request_replay() {
                 }
             })
             .collect();
-        scheduler.apply_updates(&updates);
+        engine.apply_updates_blocking(&updates);
 
         day_start = day_end;
     }
@@ -150,7 +156,7 @@ fn batched_replay_matches_single_request_replay() {
 
     // The batched path really batched: far fewer forward passes than
     // requests.
-    let stats = scheduler.stats();
+    let stats = engine.stats();
     assert_eq!(
         stats.predictions as usize + stats.updates as usize,
         2 * dataset.num_sessions()
