@@ -62,8 +62,8 @@ impl Default for LintConfig {
                 LockClassEntry {
                     class: "store-shard",
                     rank: 20,
-                    ident: "inner",
-                    path_contains: Some("crates/serving/src/kv_store.rs"),
+                    ident: "shard",
+                    path_contains: Some("crates/serving/src/sharded.rs"),
                 },
                 LockClassEntry {
                     class: "store-shard",
@@ -76,12 +76,6 @@ impl Default for LintConfig {
                     rank: 20,
                     ident: "shards",
                     path_contains: Some("crates/precompute/src/cache.rs"),
-                },
-                LockClassEntry {
-                    class: "store-stats",
-                    rank: 25,
-                    ident: "stats",
-                    path_contains: Some("crates/serving/src/kv_store.rs"),
                 },
                 LockClassEntry {
                     class: "store-stats",

@@ -152,14 +152,6 @@ struct BenchReport {
     trace: pp_obs::TailReport,
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted_us.len() as f64 - 1.0) * p).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)]
-}
-
 /// Replays `requests` through a fresh engine with `max_batch`, returning the
 /// per-request latencies and the wall-clock elapsed time.
 ///
@@ -275,9 +267,9 @@ fn run_mode(
         requests: requests.len(),
         elapsed_secs: elapsed.as_secs_f64(),
         sessions_per_sec: requests.len() as f64 / elapsed.as_secs_f64(),
-        latency_p50_us: percentile(&sorted_us, 0.50),
-        latency_p90_us: percentile(&sorted_us, 0.90),
-        latency_p99_us: percentile(&sorted_us, 0.99),
+        latency_p50_us: pp_obs::quantile(&sorted_us, 0.50),
+        latency_p90_us: pp_obs::quantile(&sorted_us, 0.90),
+        latency_p99_us: pp_obs::quantile(&sorted_us, 0.99),
         latency_max_us: sorted_us.last().copied().unwrap_or(0.0),
         forward_passes: stats.batches,
         mean_batch_size: stats.mean_batch_size(),

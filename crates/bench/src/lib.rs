@@ -154,9 +154,10 @@ pub fn print_tail_report(report: &pp_obs::TailReport) {
     }
     if report.tail_requests > 0 {
         println!(
-            "  slowest {} request(s) (>= p99 {:.1} µs): {:.1}% queued, {:.1}% in service",
+            "  slowest {} request(s) (>= {:.1} µs, beyond p99 {:.1} µs): {:.1}% queued, {:.1}% in service",
             report.tail_requests,
             report.tail_threshold_us,
+            report.e2e_p99_us,
             report.tail_queue_share * 100.0,
             report.tail_service_share * 100.0
         );

@@ -9,7 +9,8 @@
 //! * [`metrics`] — [`Counter`], [`Gauge`], and the log-bucketed latency
 //!   [`Histogram`] (exact counts, interpolated p50/p90/p99, merge-able
 //!   across threads), plus the zero-alloc [`SpanTimer`] RAII guard and the
-//!   explicit [`Stopwatch`] for hot-path timing;
+//!   explicit [`Stopwatch`] for hot-path timing, and the one nearest-rank
+//!   sample [`quantile`];
 //! * [`events`] — the bounded ring-buffer [`EventLog`] of structured
 //!   [`Event`]s (threshold moves, budget exhaustion, eviction storms,
 //!   recalibration windows), drainable to JSONL;
@@ -42,7 +43,7 @@ pub mod sync;
 pub mod trace;
 
 pub use events::{Event, EventKind, EventLog};
-pub use metrics::{Counter, Gauge, Histogram, SpanTimer, Stopwatch};
+pub use metrics::{quantile, Counter, Gauge, Histogram, SpanTimer, Stopwatch};
 pub use registry::{
     CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, Reporter, Snapshot,
 };

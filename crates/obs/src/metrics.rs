@@ -324,6 +324,21 @@ impl Stopwatch {
     }
 }
 
+/// Nearest-rank quantile of an ascending sample: the smallest value with at
+/// least `q · n` of the `n` samples at or below it (0.0 for an empty
+/// sample). Every exact sample quantile in the workspace — trace tail
+/// reports, load-generator latencies — uses this one definition; only
+/// [`Histogram::quantile`], which holds buckets rather than samples,
+/// interpolates.
+#[must_use]
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,5 +511,17 @@ mod tests {
             prop_assert_eq!(histogram.sum(), values.iter().sum::<u64>());
             prop_assert_eq!(histogram.max(), *values.iter().max().unwrap());
         }
+    }
+
+    #[test]
+    fn sample_quantile_is_nearest_rank() {
+        let sorted: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(quantile(&sorted, 0.0), 1.0);
+        assert_eq!(quantile(&sorted, 0.5), 50.0);
+        assert_eq!(quantile(&sorted, 0.99), 99.0);
+        assert_eq!(quantile(&sorted, 0.995), 100.0);
+        assert_eq!(quantile(&sorted, 1.0), 100.0);
+        assert_eq!(quantile(&[7.0], 0.99), 7.0);
+        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 }

@@ -441,19 +441,6 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
     out
 }
 
-/// Linear-interpolated percentile of an already-sorted slice (0.0 when
-/// empty).
-fn percentile_us(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let target = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = target.floor() as usize;
-    let hi = target.ceil() as usize;
-    let frac = target - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// One stage's latency summary in a [`TailReport`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageTail {
@@ -501,8 +488,9 @@ pub struct TailReport {
     pub e2e_p99_us: f64,
     /// Slowest sampled request, microseconds.
     pub e2e_max_us: f64,
-    /// The end-to-end cut defining the tail set (the p99, so the tail is
-    /// the slowest ~1% of sampled requests).
+    /// The end-to-end cut defining the tail set: the fastest request
+    /// slower than the p99 (the slowest request when none is), so the tail
+    /// is the slowest ~1% of sampled requests.
     pub tail_threshold_us: f64,
     /// Requests in the tail set.
     pub tail_requests: u64,
@@ -570,11 +558,18 @@ pub fn tail_report(spans: &[Span], sample_every: u64, dropped: u64) -> TailRepor
         .collect();
     e2e_us.sort_by(f64::total_cmp);
     report.sampled_requests = requests.len() as u64;
-    report.e2e_p50_us = percentile_us(&e2e_us, 0.50);
-    report.e2e_p90_us = percentile_us(&e2e_us, 0.90);
-    report.e2e_p99_us = percentile_us(&e2e_us, 0.99);
+    report.e2e_p50_us = crate::quantile(&e2e_us, 0.50);
+    report.e2e_p90_us = crate::quantile(&e2e_us, 0.90);
+    report.e2e_p99_us = crate::quantile(&e2e_us, 0.99);
     report.e2e_max_us = e2e_us.last().copied().unwrap_or(0.0);
-    report.tail_threshold_us = report.e2e_p99_us;
+    // The tail is every request slower than the (nearest-rank) p99. With
+    // under 100 samples the p99 is the slowest request itself, which then
+    // forms the tail alone.
+    report.tail_threshold_us = e2e_us
+        .iter()
+        .copied()
+        .find(|&us| us > report.e2e_p99_us)
+        .unwrap_or(report.e2e_max_us);
 
     // Tail attribution: among the slowest percentile, how much of the
     // end-to-end time was spent queued vs in service?
@@ -627,9 +622,9 @@ pub fn tail_report(spans: &[Span], sample_every: u64, dropped: u64) -> TailRepor
             stage: stage.name().to_string(),
             count: durs_us.len() as u64,
             mean_us: sum / durs_us.len() as f64,
-            p50_us: percentile_us(&durs_us, 0.50),
-            p90_us: percentile_us(&durs_us, 0.90),
-            p99_us: percentile_us(&durs_us, 0.99),
+            p50_us: crate::quantile(&durs_us, 0.50),
+            p90_us: crate::quantile(&durs_us, 0.90),
+            p99_us: crate::quantile(&durs_us, 0.99),
             share_of_request_time: if total_request_ns > 0 {
                 stage_total_ns.get(&stage).copied().unwrap_or(0) as f64 / total_request_ns as f64
             } else {
@@ -924,8 +919,11 @@ mod tests {
         // Fast requests are 1 µs end-to-end; the slow one is 95.9 µs.
         assert!(report.e2e_p50_us < 2.0, "p50 {}", report.e2e_p50_us);
         assert!(report.e2e_max_us > 90.0);
-        assert!(report.e2e_p99_us > report.e2e_p50_us);
-        assert!(report.tail_requests >= 1);
+        // 99 of the 100 requests take 1 µs, so the nearest-rank p99 is the
+        // fast time, and only the slow request lies beyond it.
+        assert_eq!(report.e2e_p99_us, report.e2e_p50_us);
+        assert_eq!(report.tail_threshold_us, report.e2e_max_us);
+        assert_eq!(report.tail_requests, 1);
         // The tail request spent 95000/95900 of its time queued.
         assert!(
             report.tail_queue_share > 0.9,

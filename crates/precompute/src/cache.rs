@@ -231,14 +231,10 @@ impl PrefetchCache {
         self.config
     }
 
-    /// The shard a user's payload lives in (same SplitMix64 spread as
-    /// [`pp_serving::ShardedStateStore`]).
+    /// The shard a user's payload lives in (the same spread as
+    /// [`pp_serving::ShardedStateStore`], see [`pp_serving::sharded::shard_of`]).
     pub fn shard_index(&self, user: UserId) -> usize {
-        let mut z = user.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z % self.shards.len() as u64) as usize
+        pp_serving::sharded::shard_of(user, self.shards.len())
     }
 
     /// Stores the payload prefetched for `user` at time `now`, replacing

@@ -369,14 +369,9 @@ pub struct PrefetchScheduler {
     fairness: FairnessPolicy,
     /// Timestamp of the last refill; monotone (stale clocks refill nothing).
     refilled_at: Option<i64>,
-    /// Clock ticks per second of traffic time (1.0 = a seconds clock).
-    ticks_per_sec: f64,
     inflight: usize,
     /// Inflight prefetches per activity (always sums to `inflight`).
     inflight_by_activity: ActivityMap<usize>,
-    /// Per-activity inflight caps, checked after the global cap
-    /// (`usize::MAX` = uncapped, the default).
-    inflight_caps: ActivityMap<usize>,
     /// Unspent deficit-round-robin credit carried across waves, per
     /// activity (zero for other fairness policies).
     drr_deficit: ActivityMap<f64>,
@@ -450,10 +445,8 @@ impl PrefetchScheduler {
             costs,
             fairness,
             refilled_at: None,
-            ticks_per_sec: 1.0,
             inflight: 0,
             inflight_by_activity: ActivityMap::uniform(0),
-            inflight_caps: ActivityMap::uniform(usize::MAX),
             drr_deficit: ActivityMap::uniform(0.0),
             stats: SchedulerBudgetStats {
                 units_offered: config.capacity_units,
@@ -461,28 +454,6 @@ impl PrefetchScheduler {
             },
             by_activity: ActivityMap::uniform(ActivityBudgetStats::default()),
         }
-    }
-
-    /// Creates a scheduler whose `now` timestamps tick `ticks_per_sec`
-    /// times per second of traffic time (e.g. `1_000.0` for a milliseconds
-    /// clock). Refill is computed from the *fractional* elapsed seconds
-    /// `(now − last) / ticks_per_sec`, so N small ticks refill exactly as
-    /// much as one big tick — a caller quantizing a fine-grained clock down
-    /// to whole seconds would instead silently drop every sub-second
-    /// remainder and starve a low-rate bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the [`PrefetchScheduler::new`] conditions, or when
-    /// `ticks_per_sec` is not positive and finite.
-    pub fn with_clock(config: BudgetConfig, ticks_per_sec: f64) -> Self {
-        assert!(
-            ticks_per_sec > 0.0 && ticks_per_sec.is_finite(),
-            "ticks_per_sec must be positive and finite"
-        );
-        let mut scheduler = Self::new(config);
-        scheduler.ticks_per_sec = ticks_per_sec;
-        scheduler
     }
 
     /// The budget configuration.
@@ -498,11 +469,6 @@ impl PrefetchScheduler {
     /// Per-prefetch cost of `activity`, in bucket units.
     pub fn cost_for(&self, activity: Activity) -> f64 {
         self.costs[activity]
-    }
-
-    /// Clock ticks per second of traffic time (1.0 = a seconds clock).
-    pub fn ticks_per_sec(&self) -> f64 {
-        self.ticks_per_sec
     }
 
     /// Tokens currently in the bucket (common pool **plus** every
@@ -525,26 +491,6 @@ impl PrefetchScheduler {
     /// Prefetches admitted for `activity` but not yet resolved.
     pub fn inflight_for(&self, activity: Activity) -> usize {
         self.inflight_by_activity[activity]
-    }
-
-    /// `activity`'s inflight cap (`usize::MAX` when uncapped).
-    pub fn max_inflight_for(&self, activity: Activity) -> usize {
-        self.inflight_caps[activity]
-    }
-
-    /// Caps how many of `activity`'s prefetches may be inflight at once,
-    /// on top of the global `max_inflight`. The default (`usize::MAX`)
-    /// leaves only the global cap — today's behavior. Lowering a cap below
-    /// the activity's current inflight count only affects *new*
-    /// admissions; already-inflight prefetches drain normally.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cap` is zero (a zero cap would silently disable the
-    /// activity; configure its policy or weights instead).
-    pub fn set_max_inflight_for(&mut self, activity: Activity, cap: usize) {
-        assert!(cap > 0, "per-activity inflight cap must be positive");
-        self.inflight_caps[activity] = cap;
     }
 
     /// Unspent [`FairnessPolicy::DeficitRoundRobin`] credit carried for
@@ -585,16 +531,13 @@ impl PrefetchScheduler {
     }
 
     fn refill(&mut self, now: i64) {
-        // Fractional elapsed-seconds conversion: a sub-second tick (under a
-        // fine-grained clock) still refills its exact share, instead of the
-        // whole-unit truncation that starves a low-rate bucket.
         let since_secs = match self.refilled_at {
             None => {
                 self.refilled_at = Some(now);
                 return;
             }
             Some(at) if now <= at => return,
-            Some(at) => (now - at) as f64 / self.ticks_per_sec,
+            Some(at) => (now - at) as f64,
         };
         let added = (since_secs * self.config.refill_units_per_sec)
             .min(self.config.capacity_units - self.tokens());
@@ -645,7 +588,7 @@ impl PrefetchScheduler {
 
     /// Attempts to admit one prefetch for `activity` at traffic time `now`
     /// (seconds). Refills the bucket for the elapsed time first, then
-    /// checks the inflight caps (global, then this activity's) and the
+    /// checks the max-inflight cap and the
     /// funds this activity may draw on (the common pool plus its own
     /// reserve). On admission the activity's cost is deducted — common
     /// pool first, reserve for the remainder — and one inflight slot is
@@ -653,9 +596,7 @@ impl PrefetchScheduler {
     /// prefetch resolves.
     pub fn try_admit_for(&mut self, activity: Activity, now: i64) -> AdmitResult {
         self.refill(now);
-        if self.inflight >= self.config.max_inflight
-            || self.inflight_by_activity[activity] >= self.inflight_caps[activity]
-        {
+        if self.inflight >= self.config.max_inflight {
             self.stats.denied_inflight += 1;
             self.by_activity[activity].denied_inflight += 1;
             return AdmitResult::DeniedInflight;
@@ -1101,42 +1042,6 @@ mod tests {
     }
 
     #[test]
-    fn fractional_clock_refills_sub_second_ticks() {
-        // A fine-grained clock with a slow bucket: 2 units/s means one
-        // 25-unit prefetch every 12.5 s. Under whole-second truncation a
-        // sub-second tick would refill 0 units forever (starvation);
-        // fractional conversion credits each tick its exact share.
-        let config = BudgetConfig {
-            capacity_units: 100.0,
-            refill_units_per_sec: 2.0,
-            cost_per_prefetch_units: 25.0,
-            max_inflight: 16,
-        };
-        // 8 ticks/s keeps every refill increment (2.0 / 8 = 0.25 units)
-        // exactly representable, so the equality edge below is not at the
-        // mercy of float accumulation.
-        let mut s = PrefetchScheduler::with_clock(config, 8.0);
-        assert_eq!(s.ticks_per_sec(), 8.0);
-        // Drain the initial bucket (4 × 25 units).
-        for _ in 0..4 {
-            assert_eq!(s.try_admit(0), AdmitResult::Admitted);
-            s.complete_one();
-        }
-        assert_eq!(s.try_admit(0), AdmitResult::DeniedBudget);
-        // 99 single-tick refills: 24.75 units — one tick short of a prefetch.
-        let mut now = 0i64;
-        for _ in 0..99 {
-            now += 1;
-            s.refill(now);
-        }
-        assert!((s.tokens() - 24.75).abs() < 1e-12, "tokens {}", s.tokens());
-        assert_eq!(s.try_admit(now), AdmitResult::DeniedBudget);
-        // The 100th tick (12.5 s total) crosses the cost line exactly.
-        assert_eq!(s.try_admit(now + 1), AdmitResult::Admitted);
-        assert!(s.check_invariants().is_ok());
-    }
-
-    #[test]
     fn n_small_ticks_refill_exactly_as_much_as_one_big_tick() {
         let config = BudgetConfig {
             capacity_units: 1_000.0,
@@ -1146,32 +1051,24 @@ mod tests {
             cost_per_prefetch_units: 900.0,
             max_inflight: 8,
         };
-        for ticks_per_sec in [1.0, 10.0, 1_000.0] {
-            // Spend one prefetch so there is headroom to refill into.
-            let mut fine = PrefetchScheduler::with_clock(config, ticks_per_sec);
-            let mut coarse = PrefetchScheduler::with_clock(config, ticks_per_sec);
-            assert_eq!(fine.try_admit(0), AdmitResult::Admitted);
-            assert_eq!(coarse.try_admit(0), AdmitResult::Admitted);
-            // 240 ticks as 240 × 1 vs 1 × 240.
-            for tick in 1..=240i64 {
-                fine.refill(tick);
-            }
-            coarse.refill(240);
-            assert!(
-                (fine.tokens() - coarse.tokens()).abs() < 1e-6,
-                "clock {ticks_per_sec}: {} vs {}",
-                fine.tokens(),
-                coarse.tokens()
-            );
-            assert!(fine.check_invariants().is_ok());
-            assert!(coarse.check_invariants().is_ok());
+        // Spend one prefetch so there is headroom to refill into.
+        let mut fine = PrefetchScheduler::new(config);
+        let mut coarse = PrefetchScheduler::new(config);
+        assert_eq!(fine.try_admit(0), AdmitResult::Admitted);
+        assert_eq!(coarse.try_admit(0), AdmitResult::Admitted);
+        // 240 seconds as 240 × 1 vs 1 × 240.
+        for tick in 1..=240i64 {
+            fine.refill(tick);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ticks_per_sec must be positive")]
-    fn zero_clock_scale_panics() {
-        let _ = PrefetchScheduler::with_clock(config(), 0.0);
+        coarse.refill(240);
+        assert!(
+            (fine.tokens() - coarse.tokens()).abs() < 1e-6,
+            "{} vs {}",
+            fine.tokens(),
+            coarse.tokens()
+        );
+        assert!(fine.check_invariants().is_ok());
+        assert!(coarse.check_invariants().is_ok());
     }
 
     #[test]
@@ -1464,49 +1361,6 @@ mod tests {
         s.admit_wave_tagged(1, &mobile_only, AdmissionOrder::Fifo);
         assert_eq!(s.drr_deficit(Activity::Mpu), 0.0);
         s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn per_activity_inflight_cap_binds_only_its_activity() {
-        let (config, costs) = shared_config(1_000.0, 0.0);
-        let mut s = PrefetchScheduler::shared(config, costs, FairnessPolicy::Greedy);
-        s.set_max_inflight_for(Activity::Timeshift, 2);
-        assert_eq!(s.max_inflight_for(Activity::Timeshift), 2);
-        assert_eq!(s.max_inflight_for(Activity::MobileTab), usize::MAX);
-        for _ in 0..2 {
-            assert_eq!(
-                s.try_admit_for(Activity::Timeshift, 0),
-                AdmitResult::Admitted
-            );
-        }
-        // Timeshift is at its cap; the others are untouched.
-        assert_eq!(
-            s.try_admit_for(Activity::Timeshift, 0),
-            AdmitResult::DeniedInflight
-        );
-        assert_eq!(
-            s.try_admit_for(Activity::MobileTab, 0),
-            AdmitResult::Admitted
-        );
-        assert_eq!(s.inflight_for(Activity::Timeshift), 2);
-        assert_eq!(s.inflight(), 3);
-        assert_eq!(s.activity_stats(Activity::Timeshift).denied_inflight, 1);
-        s.check_invariants().unwrap();
-        // Completing a Timeshift prefetch frees its slot.
-        s.complete_one_for(Activity::Timeshift);
-        assert_eq!(
-            s.try_admit_for(Activity::Timeshift, 0),
-            AdmitResult::Admitted
-        );
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "per-activity inflight cap must be positive")]
-    fn zero_per_activity_cap_panics() {
-        let (config, costs) = shared_config(100.0, 0.0);
-        let mut s = PrefetchScheduler::shared(config, costs, FairnessPolicy::Greedy);
-        s.set_max_inflight_for(Activity::Mpu, 0);
     }
 
     #[test]

@@ -36,9 +36,7 @@ use serde::{Deserialize, Serialize};
 /// Every `now` the system is driven with is in **seconds** of traffic time:
 /// the cache's `ttl_secs` and the budget's `refill_units_per_sec` are both
 /// denominated against that clock. A deployment on a finer clock must
-/// convert before calling in (the standalone
-/// [`PrefetchScheduler::with_clock`](crate::scheduler::PrefetchScheduler::with_clock)
-/// exists for embedding the budget alone under a fine-grained clock).
+/// convert before calling in.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Threshold the decision engine starts from (the offline-calibrated

@@ -11,6 +11,7 @@
 //!   one 512-byte lookup;
 //! * so the *overall* serving cost drops by roughly 10× with the RNN.
 
+use bytes::Bytes;
 use pp_baselines::Gbdt;
 use pp_data::schema::Dataset;
 use pp_features::aggregation::AggregationState;
@@ -175,6 +176,80 @@ pub fn compare(
     }
 }
 
+/// A uniformly quantized hidden state: one byte per dimension plus a scale
+/// and offset (§9: "neural network quantization methods can also be applied
+/// to store single bytes instead of floating-point numbers").
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QuantizedState {
+    /// Per-dimension codes.
+    pub codes: Vec<u8>,
+    /// Dequantized value = `offset + code × scale`.
+    pub scale: f32,
+    /// See `scale`.
+    pub offset: f32,
+}
+
+impl QuantizedState {
+    /// Quantizes a state vector to 8 bits per dimension.
+    pub fn quantize(state: &[f32]) -> Self {
+        let min = state.iter().copied().fold(f32::INFINITY, f32::min);
+        let max = state.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let (min, max) = if state.is_empty() || !min.is_finite() {
+            (0.0, 0.0)
+        } else {
+            (min, max)
+        };
+        let scale = if max > min { (max - min) / 255.0 } else { 1.0 };
+        let codes = state
+            .iter()
+            .map(|&v| (((v - min) / scale).round().clamp(0.0, 255.0)) as u8)
+            .collect();
+        Self {
+            codes,
+            scale,
+            offset: min,
+        }
+    }
+
+    /// Reconstructs the (lossy) state vector.
+    pub fn dequantize(&self) -> Vec<f32> {
+        self.codes
+            .iter()
+            .map(|&c| self.offset + c as f32 * self.scale)
+            .collect()
+    }
+
+    /// Serialized size in bytes (codes + scale + offset).
+    pub fn encoded_bytes(&self) -> usize {
+        self.codes.len() + 8
+    }
+
+    /// Encodes into bytes for the hidden-state store.
+    pub fn encode(&self) -> Bytes {
+        let mut out = Vec::with_capacity(self.encoded_bytes());
+        out.extend_from_slice(&self.scale.to_le_bytes());
+        out.extend_from_slice(&self.offset.to_le_bytes());
+        out.extend_from_slice(&self.codes);
+        Bytes::from(out)
+    }
+
+    /// Decodes from bytes produced by [`QuantizedState::encode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is shorter than the 8-byte header.
+    pub fn decode(bytes: &Bytes) -> Self {
+        assert!(bytes.len() >= 8, "quantized state too short");
+        let scale = f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        let offset = f32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+        Self {
+            codes: bytes[8..].to_vec(),
+            scale,
+            offset,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,5 +348,31 @@ mod tests {
         let p = baseline_profile(&ds, &idx, &featurizer, &gbdt);
         // MobileTab: 4 subsets × 4 windows + 4 elapsed = 20 lookups (§9).
         assert_eq!(p.lookups_per_prediction, 20.0);
+    }
+
+    #[test]
+    fn quantization_is_close_and_4x_smaller() {
+        let state: Vec<f32> = (0..128).map(|i| (i as f32 / 13.0).sin()).collect();
+        let q = QuantizedState::quantize(&state);
+        let back = q.dequantize();
+        assert_eq!(back.len(), state.len());
+        let max_err = state
+            .iter()
+            .zip(&back)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(max_err < 0.01, "quantization error too large: {max_err}");
+        assert!(q.encoded_bytes() * 3 < std::mem::size_of_val(state.as_slice()));
+        // Encode/decode roundtrip.
+        let decoded = QuantizedState::decode(&q.encode());
+        assert_eq!(decoded, q);
+    }
+
+    #[test]
+    fn quantization_handles_constant_and_empty_vectors() {
+        let q = QuantizedState::quantize(&[1.5; 10]);
+        assert!(q.dequantize().iter().all(|&v| (v - 1.5).abs() < 1e-6));
+        let q = QuantizedState::quantize(&[]);
+        assert!(q.dequantize().is_empty());
     }
 }

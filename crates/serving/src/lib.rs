@@ -3,9 +3,6 @@
 //! Serving-layer simulation for predictive precompute, reproducing the
 //! production architecture and measurements of §9 of the paper:
 //!
-//! * [`kv_store`] — an instrumented in-memory key-value store (the paper's
-//!   Redis-like hidden-state store), f32 state encoding, and 8-bit
-//!   quantization;
 //! * [`pipeline`] — a discrete-event replay of the serving flow: predict at
 //!   session start from the stored hidden state, stream-join context and
 //!   access flag when the session window closes, then advance and re-store
@@ -13,13 +10,14 @@
 //! * [`cost`] — the serving cost model comparing the aggregation-feature
 //!   path (≈ 20 lookups, thousands of keys per user) against the
 //!   hidden-state path (one 512-byte lookup), reproducing the ≈ 10× overall
-//!   cost reduction;
+//!   cost reduction, and the 8-bit state quantization §9 suggests;
 //! * [`online`] — the day-by-day online comparison of RNN vs GBDT on
 //!   cold-start users (Figure 7) and the successful-prefetch lift at a
 //!   target precision;
-//! * [`sharded`] — the throughput-oriented [`ShardedStateStore`]: N
-//!   independent hidden-state shards keyed by user-id hash, serving
-//!   concurrently;
+//! * [`sharded`] — the instrumented hidden-state store (the paper's
+//!   Redis-like store), [`ShardedStateStore`]: one `f32` state per user in
+//!   N independent shards keyed by user-id hash, serving concurrently, with
+//!   optional LRU or frequency-weighted eviction;
 //! * [`batch`] — the multi-threaded [`BatchServingEngine`] coalescing
 //!   concurrent session starts into batched forward passes (one matmul per
 //!   batch instead of per user);
@@ -32,7 +30,6 @@
 
 pub mod batch;
 pub mod cost;
-pub mod kv_store;
 pub mod obs;
 pub mod online;
 pub mod pipeline;
@@ -42,12 +39,10 @@ pub use batch::{
     BatchServingEngine, EngineStats, PredictRequest, Prediction, UpdateRequest, WorkerStats,
 };
 pub use cost::{
-    baseline_profile, compare, rnn_profile, CostComparison, CostWeights, ServingProfile,
-};
-pub use kv_store::{
-    decode_state_f32, encode_state_f32, EvictionPolicy, KvStore, QuantizedState, StoreStats,
+    baseline_profile, compare, rnn_profile, CostComparison, CostWeights, QuantizedState,
+    ServingProfile,
 };
 pub use obs::ServingObs;
 pub use online::{daily_metrics, run_online_comparison, DailyMetric, OnlineComparison};
 pub use pipeline::{ServingOutcome, ServingPipeline};
-pub use sharded::ShardedStateStore;
+pub use sharded::{EvictionPolicy, ShardedStateStore, StoreStats};

@@ -220,4 +220,85 @@ proptest! {
         // Users never written stay absent.
         prop_assert!(store.get_state(UserId(10_000)).is_none());
     }
+
+    /// A bounded one-shard store evicts exactly what a small reference model
+    /// does — victim = smallest (rank, tick), rank 0 under LRU and the access
+    /// frequency under frequency weighting, puts and read hits both touching
+    /// — and its resident set, `len()` and `stats()` match the model after
+    /// every step. `contains_state` is neither traffic nor a touch.
+    #[test]
+    fn bounded_store_matches_a_reference_eviction_model(
+        ops in prop::collection::vec((0u8..3, 0u64..12, 1usize..5), 1..150),
+        capacity in 1usize..6,
+        frequency_weighted in any::<bool>(),
+    ) {
+        use predictive_precompute::data::schema::UserId;
+        use predictive_precompute::serving::{EvictionPolicy, ShardedStateStore, StoreStats};
+        use std::collections::HashMap;
+
+        struct Resident {
+            state: Vec<f32>,
+            tick: u64,
+            freq: u64,
+        }
+        let policy = if frequency_weighted {
+            EvictionPolicy::FrequencyWeighted
+        } else {
+            EvictionPolicy::Lru
+        };
+        let store = ShardedStateStore::with_capacity_and_policy(1, capacity, policy);
+        let mut model: HashMap<u64, Resident> = HashMap::new();
+        let mut stats = StoreStats::default();
+        let mut tick = 0u64;
+        for (step, &(op, id, dims)) in ops.iter().enumerate() {
+            let user = UserId(id);
+            match op {
+                0 => {
+                    let state = vec![step as f32; dims];
+                    store.put_state(user, &state);
+                    stats.writes += 1;
+                    stats.bytes_written += 4 * dims as u64;
+                    let freq = model.get(&id).map_or(0, |r| r.freq) + 1;
+                    model.insert(id, Resident { state, tick, freq });
+                    tick += 1;
+                    while model.len() > capacity {
+                        let victim = *model
+                            .iter()
+                            .min_by_key(|(_, r)| (if frequency_weighted { r.freq } else { 0 }, r.tick))
+                            .map(|(id, _)| id)
+                            .unwrap();
+                        model.remove(&victim);
+                        stats.evictions += 1;
+                    }
+                }
+                1 => {
+                    let got = store.get_state(user);
+                    stats.reads += 1;
+                    let expected = model.get_mut(&id).map(|r| {
+                        r.tick = tick;
+                        r.freq += 1;
+                        r.state.clone()
+                    });
+                    if let Some(state) = &expected {
+                        tick += 1;
+                        stats.hits += 1;
+                        stats.bytes_read += 4 * state.len() as u64;
+                    }
+                    prop_assert_eq!(got, expected, "step {}: get user {}", step, id);
+                }
+                _ => prop_assert_eq!(store.contains_state(user), model.contains_key(&id)),
+            }
+            prop_assert_eq!(store.len(), model.len(), "step {}", step);
+            prop_assert_eq!(store.stats(), stats, "step {}", step);
+            let resident_bytes: u64 = model.values().map(|r| 4 * r.state.len() as u64).sum();
+            prop_assert_eq!(store.stored_bytes(), resident_bytes, "step {}", step);
+            for other in 0..12u64 {
+                prop_assert_eq!(
+                    store.contains_state(UserId(other)),
+                    model.contains_key(&other),
+                    "step {}: residency of user {}", step, other
+                );
+            }
+        }
+    }
 }
