@@ -7,10 +7,11 @@
 //! [`Graph`], which makes them usable from multiple threads that each build
 //! their own graph over the same parameters.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{stable_sigmoid, stable_tanh, Graph, NodeId};
 use crate::gru_kernel::{gru_step, GruWeights};
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
+use crate::simd;
 use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -251,8 +252,10 @@ impl GruCell {
     /// Inference-only recurrent step: identical math to [`GruCell::forward`]
     /// without building a tape or copying the weight matrices. Batch rows
     /// are independent, so this serves `B` users in one fused pass (see
-    /// the `gru_kernel` module) whose results are bit-identical to the
-    /// tape's.
+    /// the `gru_kernel` module). The pass runs its AVX2 build when the CPU
+    /// supports it and its portable one otherwise, and applies the tape's
+    /// own [`stable_sigmoid`] and [`stable_tanh`], so its results are
+    /// bit-identical to the tape's whichever build runs.
     ///
     /// # Panics
     ///
@@ -261,18 +264,28 @@ impl GruCell {
         assert_eq!(x.cols(), self.input_dim, "GRU input width mismatch");
         assert_eq!(h.cols(), self.hidden_dim, "GRU state width mismatch");
         assert_eq!(x.rows(), h.rows(), "GRU input and state rows differ");
+        let mut out = Tensor::zeros(h.rows(), self.hidden_dim);
+        gru_step(
+            simd::best(),
+            &self.kernel_weights(store),
+            x.as_slice(),
+            h.as_slice(),
+            out.as_mut_slice(),
+        );
+        out
+    }
+
+    /// The cell's parameters as the fused kernel takes them.
+    fn kernel_weights<'a>(&self, store: &'a ParamStore) -> GruWeights<'a> {
         let get = |id: ParamId| store.get(id).as_slice();
-        let weights = GruWeights {
+        GruWeights {
             w_i: [get(self.w_ir), get(self.w_iz), get(self.w_in)],
             b_i: [get(self.b_ir), get(self.b_iz), get(self.b_in)],
             w_h: [get(self.w_hr), get(self.w_hz), get(self.w_hn)],
             b_h: [get(self.b_hr), get(self.b_hz), get(self.b_hn)],
             input_dim: self.input_dim,
             hidden: self.hidden_dim,
-        };
-        let mut out = Tensor::zeros(h.rows(), self.hidden_dim);
-        gru_step(&weights, x.as_slice(), h.as_slice(), out.as_mut_slice());
-        out
+        }
     }
 
     /// Number of scalar parameters.
@@ -359,7 +372,7 @@ impl TanhCell {
         let hw = h.matmul(store.get(self.w_hh));
         xw.add(&hw)
             .add_row_broadcast(store.get(self.bias))
-            .map(f32::tanh)
+            .map(stable_tanh)
     }
 
     /// Approximate FLOPs for one update.
@@ -510,9 +523,9 @@ impl LstmCell {
                 .add(&h.matmul(store.get(wh)))
                 .add_row_broadcast(store.get(b));
             if act_sigmoid {
-                pre.map(crate::graph::stable_sigmoid)
+                pre.map(stable_sigmoid)
             } else {
-                pre.map(f32::tanh)
+                pre.map(stable_tanh)
             }
         };
         let i = gate(self.w_ii, self.w_hi, self.b_i, true);
@@ -520,7 +533,7 @@ impl LstmCell {
         let g = gate(self.w_ig, self.w_hg, self.b_g, false);
         let o = gate(self.w_io, self.w_ho, self.b_o, true);
         let c_next = f.mul(&c).add(&i.mul(&g));
-        let h_next = o.mul(&c_next.map(f32::tanh));
+        let h_next = o.mul(&c_next.map(stable_tanh));
         h_next.concat_cols(&c_next)
     }
 
@@ -699,25 +712,27 @@ mod tests {
             let hh = h.matmul(store.get(wh)).add_row_broadcast(store.get(bh));
             xi.add(&hh)
         };
-        let sigmoid = crate::graph::stable_sigmoid;
-        let r = gate_pre(cell.w_ir, cell.b_ir, cell.w_hr, cell.b_hr).map(sigmoid);
-        let z = gate_pre(cell.w_iz, cell.b_iz, cell.w_hz, cell.b_hz).map(sigmoid);
+        let r = gate_pre(cell.w_ir, cell.b_ir, cell.w_hr, cell.b_hr).map(stable_sigmoid);
+        let z = gate_pre(cell.w_iz, cell.b_iz, cell.w_hz, cell.b_hz).map(stable_sigmoid);
         let xn = x
             .matmul(store.get(cell.w_in))
             .add_row_broadcast(store.get(cell.b_in));
         let hn = h
             .matmul(store.get(cell.w_hn))
             .add_row_broadcast(store.get(cell.b_hn));
-        let n = xn.add(&r.mul(&hn)).map(f32::tanh);
+        let n = xn.add(&r.mul(&hn)).map(stable_tanh);
         z.map(|v| 1.0 - v).mul(&n).add(&z.mul(h))
     }
 
     #[test]
     fn fused_gru_is_bit_identical_to_six_matmuls() {
-        // Input width 99 is the MobileTab update input; hidden 16 and 128
-        // are the tiny and paper configs, 5 and 20 leave partial column
-        // tiles. Batches of 1, 5 and 63 cover single rows and ragged ends.
-        for (input_dim, hidden) in [(99, 16), (99, 128), (7, 5), (99, 20)] {
+        // Every build this CPU runs is checked, not only the one dispatch
+        // picks. Input width 99 is the MobileTab update input; hidden 16
+        // and 128 are the tiny and paper configs, 64 the learned loop's;
+        // 5, 20 and 100 leave partial column tiles in every build. Batches
+        // of 1, 5 and 63 cover single rows and ragged ends.
+        let builds = simd::supported_for_test("fused_gru_is_bit_identical_to_six_matmuls");
+        for (input_dim, hidden) in [(99, 16), (99, 128), (99, 64), (7, 5), (99, 20), (9, 100)] {
             let mut store = ParamStore::new();
             let mut r = rng();
             let cell = GruCell::new("gru", input_dim, hidden, &mut store, &mut r);
@@ -751,10 +766,10 @@ mod tests {
                         }
                     }
                 }
-                let fused = cell.forward_infer(&store, &x, &h);
                 let reference = gru_six_matmuls(&cell, &store, &x, &h);
-                assert_eq!(fused.shape(), (rows, hidden));
-                for (i, (a, b)) in fused
+                let public = cell.forward_infer(&store, &x, &h);
+                assert_eq!(public.shape(), (rows, hidden));
+                for (i, (a, b)) in public
                     .as_slice()
                     .iter()
                     .zip(reference.as_slice())
@@ -763,8 +778,22 @@ mod tests {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "in {input_dim}, hidden {hidden}, batch {rows}: element {i} {a} vs {b}"
+                        "forward_infer, in {input_dim}, hidden {hidden}, batch {rows}: \
+                         element {i} {a} vs {b}"
                     );
+                }
+                for &build in &builds {
+                    let mut fused = vec![0.0; rows * hidden];
+                    let weights = cell.kernel_weights(&store);
+                    gru_step(build, &weights, x.as_slice(), h.as_slice(), &mut fused);
+                    for (i, (a, b)) in fused.iter().zip(reference.as_slice()).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{build:?}, in {input_dim}, hidden {hidden}, batch {rows}: \
+                             element {i} {a} vs {b}"
+                        );
+                    }
                 }
             }
         }

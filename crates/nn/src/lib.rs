@@ -57,6 +57,7 @@ pub mod init;
 pub mod layers;
 pub mod optim;
 pub mod params;
+mod simd;
 pub mod tensor;
 
 pub use graph::{Graph, NodeId};

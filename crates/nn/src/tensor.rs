@@ -9,6 +9,7 @@
 //! Shapes are `(rows, cols)`. A "row vector" is a `1 × n` tensor; batches are
 //! represented by stacking examples as rows.
 
+use crate::simd::{self, Build, Isa, NARROW};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -229,29 +230,35 @@ impl Tensor {
 
     /// Matrix multiplication `self · other`.
     ///
+    /// Runs the AVX2 build when this CPU supports it and the portable one
+    /// otherwise (see the `simd` module), each a sweep over every row in
+    /// register tiles of 32 or 16 output columns. Every output element is
+    /// summed from `0.0` over `k` ascending, one separate multiply and add
+    /// per term, skipping zero entries of `self`, so both builds give the
+    /// same bits.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        self.matmul_on(simd::best(), other)
+    }
+
+    /// [`Tensor::matmul`] with a given build.
+    pub(crate) fn matmul_on(&self, build: Build, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimensions differ ({}x{} · {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        // Cache-friendly i-k-j loop order.
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
+        let (a, b, c) = (&self.data, &other.data, &mut out.data);
+        match build.isa() {
+            // SAFETY: a `Build` exists only for an instruction set this CPU
+            // supports, so AVX2 is available.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { matmul_avx2(a, b, c, self.cols, other.cols) },
+            _ => matmul_body::<NARROW>(a, b, c, self.cols, other.cols),
         }
         out
     }
@@ -481,6 +488,26 @@ impl Tensor {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2(a: &[f32], b: &[f32], out: &mut [f32], inner: usize, cols: usize) {
+    matmul_body::<32>(a, b, out, inner, cols);
+}
+
+/// `out = a · b` for row-major `a` (`rows × inner`) and `b`
+/// (`inner × cols`), in register tiles of `C` columns; inlined into each
+/// build so that it is compiled with that build's features.
+#[inline(always)]
+fn matmul_body<const C: usize>(a: &[f32], b: &[f32], out: &mut [f32], inner: usize, cols: usize) {
+    if cols == 0 {
+        return;
+    }
+    for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
+        let a_row = &a[i * inner..(i + 1) * inner];
+        simd::row_times::<1, C>(a_row, [b], cols, [out_row]);
+    }
+}
+
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Tensor {}x{} [", self.rows, self.cols)?;
@@ -532,6 +559,68 @@ mod tests {
         let b = Tensor::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Tensor::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+    }
+
+    #[test]
+    fn every_matmul_build_sums_in_the_same_order() {
+        // Every build this CPU runs, against the naive triple loop in the
+        // shared order (from 0.0, k ascending, zero entries of `a`
+        // skipped), bit for bit. The widths cover a single column, every
+        // tile width, and tails after full tiles in each build.
+        use rand::{Rng, SeedableRng};
+        let builds = simd::supported_for_test("every_matmul_build_sums_in_the_same_order");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for (rows, inner, cols) in [
+            (1, 1, 1),
+            (3, 99, 128),
+            (2, 128, 99),
+            (5, 17, 64),
+            (4, 40, 200),
+        ] {
+            let a = Tensor::from_vec(
+                rows,
+                inner,
+                (0..rows * inner)
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(-2.0..2.0)
+                        }
+                    })
+                    .collect(),
+            );
+            let b = Tensor::from_vec(
+                inner,
+                cols,
+                (0..inner * cols)
+                    .map(|_| rng.gen_range(-2.0..2.0))
+                    .collect(),
+            );
+            let mut naive = Tensor::zeros(rows, cols);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let mut sum = 0.0f32;
+                    for k in 0..inner {
+                        if a.at(i, k) != 0.0 {
+                            sum += a.at(i, k) * b.at(k, j);
+                        }
+                    }
+                    naive.set(i, j, sum);
+                }
+            }
+            for &build in &builds {
+                let got = a.matmul_on(build, &b);
+                assert_eq!(got.shape(), (rows, cols));
+                for (i, (x, y)) in got.as_slice().iter().zip(naive.as_slice()).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{build:?}, {rows}x{inner}·{inner}x{cols}: element {i} {x} vs {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

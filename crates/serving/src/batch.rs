@@ -665,7 +665,12 @@ fn worker_loop(shared: &EngineShared, worker: usize) {
             counters.steals.fetch_add(1, Ordering::Relaxed);
             obs.worker_steals.inc();
         }
-        let depth = shared.queued.fetch_sub(size, Ordering::Relaxed) - size;
+        let before = shared.queued.fetch_sub(size, Ordering::Relaxed);
+        // `enqueue` counts a burst before publishing it, so `before >= size`;
+        // an ordering bug fails here in debug builds instead of publishing a
+        // wrapped depth of about 1.8e19 in release builds.
+        debug_assert!(before >= size, "queue depth {before} below batch {size}");
+        let depth = before.saturating_sub(size);
         obs.queue_depth.set(depth as f64);
         // Traced batches (any sampled member) get stage marks; everyone
         // else skips every clock read below.
